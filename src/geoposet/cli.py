@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -60,9 +61,16 @@ def save_cached_table(table: ClassTable) -> None:
     }
     path = _cache_path(table.n)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(entry))
-    tmp.replace(path)
+    # A temp file of its own per writer, so concurrent saves cannot clobber
+    # or steal each other's file before the atomic rename.
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(entry))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_cached_table(n: int) -> Optional[ClassTable]:

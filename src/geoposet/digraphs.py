@@ -16,7 +16,7 @@ orientations of complementary graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import Graph, bits
 from .perms import (
@@ -77,6 +77,24 @@ class Digraph:
 def from_perm(p: Permutation) -> Digraph:
     """The permutation digraph D(p): arcs are exactly the inversions."""
     return Digraph(p.n, inversion_set(p).pairs)
+
+
+def word_masks(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Out- and in-masks of the permutation digraph, straight from the word:
+    bit j-1 of out[i-1] (and bit i-1 of in[j-1]) is set when (i, j) is an
+    inversion."""
+    n = len(word)
+    pos = [0] * n
+    for k, v in enumerate(word):
+        pos[v - 1] = k
+    out = [0] * n
+    inn = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pos[i] > pos[j]:
+                out[i] |= 1 << j
+                inn[j] |= 1 << i
+    return out, inn
 
 
 def reverse(d: Digraph) -> Digraph:
@@ -223,62 +241,128 @@ def related(d1: Digraph, d2: Digraph) -> bool:
 # spanning embeddings
 
 
-def spanning_embeds(dsmall: Digraph, dbig: Digraph) -> Optional[dict[int, int]]:
-    """A vertex bijection mapping every arc of dsmall onto an arc of dbig.
+class MaskDigraph(NamedTuple):
+    """A digraph on vertices 0..n-1 as out/in adjacency masks, with the
+    degree data the embedding search reads, computed once."""
 
-    Returns the mapping (1-based) or None.  Backtracking over vertices in
-    decreasing degree order; a vertex may only map to one with at least its
-    out- and in-degree, and every decision is checked against the arcs
-    already pinned down.
+    out: tuple[int, ...]
+    inn: tuple[int, ...]
+    odeg: tuple[int, ...]
+    ideg: tuple[int, ...]
+    odesc: tuple[int, ...]  # out-degrees, descending
+    idesc: tuple[int, ...]  # in-degrees, descending
+    order: tuple[int, ...]  # search order: decreasing total degree, then index
+    # at_least[a * n + b]: the vertices with out-degree >= a and in-degree >= b
+    at_least: tuple[int, ...]
+
+    @classmethod
+    def from_masks(cls, out: list[int], inn: list[int]) -> "MaskDigraph":
+        odeg = tuple(m.bit_count() for m in out)
+        ideg = tuple(m.bit_count() for m in inn)
+        n = len(out)
+        order = sorted(range(n), key=lambda v: (-(odeg[v] + ideg[v]), v))
+        at_least = [0] * (n * n)
+        for v in range(n):
+            for a in range(odeg[v] + 1):
+                for b in range(ideg[v] + 1):
+                    at_least[a * n + b] |= 1 << v
+        return cls(
+            tuple(out),
+            tuple(inn),
+            odeg,
+            ideg,
+            tuple(sorted(odeg, reverse=True)),
+            tuple(sorted(ideg, reverse=True)),
+            tuple(order),
+            tuple(at_least),
+        )
+
+    def flipped(self) -> "MaskDigraph":
+        """Every arc reversed; total degrees, hence the search order, stay."""
+        n = len(self.out)
+        return self._replace(
+            out=self.inn,
+            inn=self.out,
+            odeg=self.ideg,
+            ideg=self.odeg,
+            odesc=self.idesc,
+            idesc=self.odesc,
+            at_least=tuple(self.at_least[b * n + a] for a in range(n) for b in range(n)),
+        )
+
+
+def degrees_dominate(small: MaskDigraph, big: MaskDigraph) -> bool:
+    """Necessary condition for a spanning embedding of small into big.
+
+    An embedding sends each vertex to a distinct one with at least its out-
+    and in-degree, so the k-th largest out-degree (and in-degree) of big
+    must be at least that of small, for every k.
     """
-    if dsmall.n != dbig.n:
-        raise ValueError("spanning embeddings need equal vertex counts")
-    if len(dsmall.arcs) > len(dbig.arcs):
+    return all(map(int.__ge__, big.odesc, small.odesc)) and all(
+        map(int.__ge__, big.idesc, small.idesc)
+    )
+
+
+def mask_embedding(small: MaskDigraph, big: MaskDigraph) -> Optional[list[int]]:
+    """The spanning embedding search: a vertex bijection (image of v at
+    index v) mapping every arc of small onto an arc of big, or None.
+
+    Backtracking over the vertices of small in ``small.order``; each goes to
+    the least free vertex of big that has at least its out- and in-degree
+    and has arcs to and from the images of its already placed neighbours.
+    The degree-dominance test rejects before any search.
+    """
+    if not degrees_dominate(small, big):
         return None
-    n = dsmall.n
-    s_out, s_in = dsmall.out_masks(), dsmall.in_masks()
-    b_out, b_in = dbig.out_masks(), dbig.in_masks()
-    s_odeg = [m.bit_count() for m in s_out]
-    s_ideg = [m.bit_count() for m in s_in]
-    b_odeg = [m.bit_count() for m in b_out]
-    b_ideg = [m.bit_count() for m in b_in]
+    n = len(small.out)
+    s_out, s_in, s_odeg, s_ideg, order = small.out, small.inn, small.odeg, small.ideg, small.order
+    b_out, b_in, at_least = big.out, big.inn, big.at_least
+    mapping = [0] * n
 
-    order = sorted(range(n), key=lambda v: (-(s_odeg[v] + s_ideg[v]), v))
-    mapping = [-1] * n
-    used = 0
-
-    def place(idx: int) -> bool:
-        nonlocal used
+    def place(idx: int, used: int, placed: int) -> bool:
         if idx == n:
             return True
         v = order[idx]
-        for w in range(n):
-            if used >> w & 1:
-                continue
-            if b_odeg[w] < s_odeg[v] or b_ideg[w] < s_ideg[v]:
-                continue
-            ok = True
-            for u in order[:idx]:
-                mu = mapping[u]
-                if s_out[v] >> u & 1 and not b_out[w] >> mu & 1:
-                    ok = False
-                    break
-                if s_in[v] >> u & 1 and not b_in[w] >> mu & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used |= 1 << w
-            if place(idx + 1):
-                return True
-            used &= ~(1 << w)
-            mapping[v] = -1
+        need_out = need_in = 0
+        m = s_out[v] & placed
+        while m:
+            low = m & -m
+            need_out |= 1 << mapping[low.bit_length() - 1]
+            m ^= low
+        m = s_in[v] & placed
+        while m:
+            low = m & -m
+            need_in |= 1 << mapping[low.bit_length() - 1]
+            m ^= low
+        free = at_least[s_odeg[v] * n + s_ideg[v]] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            w = low.bit_length() - 1
+            if b_out[w] & need_out == need_out and b_in[w] & need_in == need_in:
+                mapping[v] = w
+                if place(idx + 1, used | low, placed | 1 << v):
+                    return True
         return False
 
-    if place(0):
-        return {v + 1: mapping[v] + 1 for v in range(n)}
-    return None
+    return mapping if place(0, 0, 0) else None
+
+
+def spanning_embeds(dsmall: Digraph, dbig: Digraph) -> Optional[dict[int, int]]:
+    """A vertex bijection mapping every arc of dsmall onto an arc of dbig.
+
+    Returns the mapping (1-based) or None; ``mask_embedding`` does the
+    search.
+    """
+    if dsmall.n != dbig.n:
+        raise ValueError("spanning embeddings need equal vertex counts")
+    mapping = mask_embedding(
+        MaskDigraph.from_masks(dsmall.out_masks(), dsmall.in_masks()),
+        MaskDigraph.from_masks(dbig.out_masks(), dbig.in_masks()),
+    )
+    if mapping is None:
+        return None
+    return {v + 1: w + 1 for v, w in enumerate(mapping)}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .digraphs import CanonicalKey, _key_from_masks
+from .digraphs import CanonicalKey, _key_from_masks, word_masks
 from .perms import (
     OrientationClass,
     PairSet,
@@ -89,18 +89,7 @@ def equivalent_fast(sigma: Permutation, pi: Permutation) -> bool:
 
 def _word_key(word: tuple[int, ...]) -> CanonicalKey:
     """Canonical key of the permutation digraph, straight from the word."""
-    n = len(word)
-    pos = [0] * n
-    for k, v in enumerate(word):
-        pos[v - 1] = k
-    out = [0] * n
-    inn = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pos[i] > pos[j]:
-                out[i] |= 1 << j
-                inn[j] |= 1 << i
-    return _key_from_masks(n, out, inn)
+    return _key_from_masks(len(word), *word_masks(word))
 
 
 def class_key(p: Permutation) -> CanonicalKey:

@@ -7,6 +7,16 @@ inverse.  A proper embedding forces strictly fewer inversions, so classes
 with equal counts are never comparable, which is also what makes the
 relation antisymmetric.
 
+``build_poset`` fills one bitmask row per class.  Each representative's
+digraph is built once, as adjacency masks straight from the word, together
+with its arc reversal (isomorphic to the inverse's digraph).  Rows are filled
+from the highest inversion count down, so the rows of every possible target
+are finished first.  Within a row, targets are visited in ascending
+inversion count: a target already in the row is implied by transitivity and
+skipped, and a successful embedding ORs in the target's whole row, since
+embeddings compose.  ``mask_embedding`` rejects a pair whose sorted degree
+sequences are not dominated pointwise before it searches at all.
+
 The weak Bruhat orders (containment of inversion sets, either of the word
 or of its inverse) induce a suborder: every Bruhat containment yields
 precedence, but not conversely, and ``bruhat_extension_check`` verifies the
@@ -19,7 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .digraphs import from_perm, spanning_embeds
+from .digraphs import MaskDigraph, from_perm, mask_embedding, spanning_embeds, word_masks
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
 from .perms import Permutation, inverse, inversion_set
 
@@ -100,29 +110,46 @@ class Poset:
 def build_poset(source: "int | ClassTable", workers: int = 1) -> Poset:
     """Assemble the order over all classes of S_n.
 
-    Accepts either n or a prebuilt class table.  The pairwise embedding
-    phase parallelizes over target classes when ``workers`` > 1; the result
-    never depends on the worker count.  Transitivity and antisymmetry of
-    the computed relation are verified before returning.
+    Accepts either n or a prebuilt class table.  Rows are filled one
+    inversion level at a time, top down; with ``workers`` > 1 each level is
+    spread over a process pool, and the result never depends on the worker
+    count.  Transitivity and antisymmetry of the computed relation are
+    verified before returning.
     """
     table = enumerate_classes(source) if isinstance(source, int) else source
     classes = table.classes
     size = len(classes)
+    shapes = []
+    for c in classes:
+        shape = MaskDigraph.from_masks(*word_masks(c.representative.word))
+        shapes.append((shape, shape.flipped()))
+    starts = [
+        k for k in range(size) if k == 0 or classes[k].inversions != classes[k - 1].inversions
+    ]
+    levels = list(zip(starts, starts[1:] + [size]))[::-1]
+    rows = [0] * size
     if workers > 1 and size >= 16:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(table,)) as pool:
-            rows = pool.map(_poset_row_global, range(size), chunksize=8)
+        with ctx.Pool(workers, initializer=_init_worker, initargs=(shapes,)) as pool:
+            for start, stop in levels:
+                stride = min(stop - start, 4 * workers)
+                tasks = [(range(start + t, stop, stride), stop, rows) for t in range(stride)]
+                for t, part in enumerate(pool.map(_worker_rows, tasks)):
+                    rows[start + t : stop : stride] = part
     else:
-        _init_worker(table)
-        rows = [_poset_row_global(i) for i in range(size)]
+        for start, stop in levels:
+            rows[start:stop] = _rows(range(start, stop), stop, shapes, rows)
     leq = tuple(rows)
 
     for i in range(size):
-        for j in range(size):
-            if leq[i] >> j & 1 and leq[j] >> i & 1 and i != j:
+        above = leq[i] & ~(1 << i)
+        while above:
+            low = above & -above
+            if leq[low.bit_length() - 1] >> i & 1:
                 raise AssertionError("relation is not antisymmetric")
+            above ^= low
     for i in range(size):
         reach = leq[i]
         combined = reach
@@ -136,21 +163,46 @@ def build_poset(source: "int | ClassTable", workers: int = 1) -> Poset:
     return Poset(table, leq)
 
 
-_WORKER_TABLE: Optional[ClassTable] = None
+def _rows(
+    indices: range,
+    first_above: int,
+    shapes: list[tuple[MaskDigraph, MaskDigraph]],
+    rows: list[int],
+) -> list[int]:
+    """The rows of one inversion level, given the finished rows above it.
+
+    Targets are visited in ascending inversion count; one already in the
+    row is implied by transitivity and skipped, and a hit ORs in the whole
+    row of the target, since embeddings compose.
+    """
+    done = []
+    for i in indices:
+        source = shapes[i][0]
+        row = 1 << i
+        for j in range(first_above, len(shapes)):
+            if row >> j & 1:
+                continue
+            target, flipped = shapes[j]
+            if (
+                mask_embedding(source, target) is not None
+                or mask_embedding(source, flipped) is not None
+            ):
+                row |= rows[j]
+        done.append(row)
+    return done
 
 
-def _init_worker(table: ClassTable) -> None:
-    global _WORKER_TABLE
-    _WORKER_TABLE = table
+_WORKER_SHAPES: list[tuple[MaskDigraph, MaskDigraph]] = []
 
 
-def _poset_row_global(i: int) -> int:
-    classes = _WORKER_TABLE.classes
-    row = 0
-    for j, target in enumerate(classes):
-        if precedes(classes[i], target):
-            row |= 1 << j
-    return row
+def _init_worker(shapes: list[tuple[MaskDigraph, MaskDigraph]]) -> None:
+    global _WORKER_SHAPES
+    _WORKER_SHAPES = shapes
+
+
+def _worker_rows(task: tuple[range, int, list[int]]) -> list[int]:
+    indices, first_above, rows = task
+    return _rows(indices, first_above, _WORKER_SHAPES, rows)
 
 
 @dataclass(frozen=True)

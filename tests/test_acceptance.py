@@ -32,10 +32,10 @@ from geoposet.poset import (
     hasse,
     is_graded,
 )
+from geoposet.verify import CLASS_COUNTS, SCHROEDER
 
-EXPECTED_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 12, 5: 39, 6: 182, 7: 1033}
-LONG_CLASS_COUNTS = {8: 7605, 9: 66302}
-SCHROEDER_PREFIX = [1, 2, 6, 22, 90, 394, 1806]  # A006318, offset 0
+EXPECTED_CLASS_COUNTS = {n: CLASS_COUNTS[n] for n in range(1, 8)}
+SCHROEDER_PREFIX = [SCHROEDER[n] for n in range(1, 8)]  # A006318, offset 0
 
 
 def report(criterion: int, text: str) -> None:
@@ -49,12 +49,12 @@ def test_criterion_1_class_count_sequence():
     assert got == EXPECTED_CLASS_COUNTS, got
     assert elapsed < 60, f"n <= 7 enumeration took {elapsed:.1f} s"
     got[8] = enumerate_classes(8).count
-    assert got[8] == LONG_CLASS_COUNTS[8]
+    assert got[8] == CLASS_COUNTS[8]
     detail = f"counts {list(got.values())} for n=1..8 in {elapsed:.1f}+ s"
     if os.environ.get("GEOPOSET_ACCEPT_LONG") == "1":
         t1 = time.time()
         got[9] = enumerate_classes(9, workers=os.cpu_count() or 1).count
-        assert got[9] == LONG_CLASS_COUNTS[9]
+        assert got[9] == CLASS_COUNTS[9]
         detail += f"; n=9 -> {got[9]} in {time.time() - t1:.0f} s"
     else:
         detail += "; n=9 skipped (set GEOPOSET_ACCEPT_LONG=1)"

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 
@@ -101,6 +103,43 @@ def test_cache_garbage_is_ignored(tmp_path, monkeypatch):
     path.parent.mkdir(parents=True)
     path.write_text("{not json")
     assert load_cached_table(3) is None
+
+
+def test_concurrent_saves_all_succeed(isolated_cache):
+    table = enumerate_classes(5)
+    writers = 4
+    rounds = 20
+    barrier = threading.Barrier(writers, timeout=30)
+    errors = []
+    done = []
+
+    def save_repeatedly():
+        try:
+            for _ in range(rounds):
+                barrier.wait()
+                save_cached_table(table)
+                done.append(1)
+        except Exception as exc:  # reported through ``errors`` below
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=save_repeatedly) for _ in range(writers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(done) == writers * rounds
+    loaded = load_cached_table(5)
+    assert loaded is not None and loaded.to_json() == table.to_json()
+    cache = isolated_cache / "cache"
+    assert sorted(p.name for p in cache.iterdir()) == ["classes_n5.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,33 +5,42 @@ import pytest
 
 from geoposet.digraphs import (
     Digraph,
+    MaskDigraph,
     Orientation,
     canonical_key,
     canonical_key_hex,
+    degrees_dominate,
     enumerate_transitive_orientations,
     from_perm,
     induced_permutation,
     is_isomorphic,
     is_transitive,
+    mask_embedding,
     related,
     reverse,
     spanning_embeds,
+    word_masks,
 )
+from geoposet.geoequiv import enumerate_classes
 from geoposet.graphs import Graph, complete_graph, cycle_graph, empty_graph
 from geoposet.perms import all_permutations, identity, inverse, inversion_set, parse
 from geoposet.perms import reverse as word_reverse
 
 
-def brute_isomorphic(d1: Digraph, d2: Digraph) -> bool:
+def brute_embeds(dsmall: Digraph, dbig: Digraph) -> bool:
     """Independent oracle: try every vertex bijection."""
-    if d1.n != d2.n or len(d1.arcs) != len(d2.arcs):
-        return False
-    verts = range(1, d1.n + 1)
+    verts = range(1, dsmall.n + 1)
     for img in itertools.permutations(verts):
         f = dict(zip(verts, img))
-        if all((f[u], f[v]) in d2.arcs for u, v in d1.arcs):
+        if all((f[u], f[v]) in dbig.arcs for u, v in dsmall.arcs):
             return True
     return False
+
+
+def brute_isomorphic(d1: Digraph, d2: Digraph) -> bool:
+    if d1.n != d2.n or len(d1.arcs) != len(d2.arcs):
+        return False
+    return brute_embeds(d1, d2)
 
 
 def random_digraph(rng, n, p=0.4):
@@ -188,6 +197,26 @@ def test_embed_respects_found_mapping_randomized():
     big = from_perm(parse("35142"))
     small = Digraph(5, frozenset(list(sorted(big.arcs))[:3]))
     assert spanning_embeds(small, big) is not None
+
+
+def test_mask_embedding_matches_bruteforce_on_s5_classes():
+    reps = [c.representative for c in enumerate_classes(5).classes]
+    shapes = [MaskDigraph.from_masks(*word_masks(p.word)) for p in reps]
+    filtered = 0
+    for p, small in zip(reps, shapes):
+        for q in reps:
+            for target in (q, inverse(q)):
+                big = MaskDigraph.from_masks(*word_masks(target.word))
+                expected = brute_embeds(from_perm(p), from_perm(target))
+                if not degrees_dominate(small, big):
+                    assert not expected, (p, target)
+                    filtered += 1
+                mapping = mask_embedding(small, big)
+                assert (mapping is not None) == expected, (p, target)
+                if mapping is not None:
+                    f = {v + 1: w + 1 for v, w in enumerate(mapping)}
+                    check_embedding(from_perm(p), from_perm(target), f)
+    assert filtered > 0
 
 
 # ---------------------------------------------------------------------------

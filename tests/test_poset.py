@@ -178,10 +178,36 @@ def test_poset_json_matrix():
 def test_poset_worker_count_invariance():
     import json
 
-    serial = build_poset(4, workers=1).to_json()
-    parallel = build_poset(4, workers=2).to_json()
+    table = enumerate_classes(6)
+    serial = build_poset(table, workers=1).to_json()
+    parallel = build_poset(table, workers=2).to_json()
     assert serial == parallel
-    assert json.loads(serial)["n"] == 4
+    assert json.loads(serial)["n"] == 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_poset_equals_all_pairs_precedes(n):
+    poset = build_poset(n)
+    classes = poset.table.classes
+    for i, low in enumerate(classes):
+        row = sum(1 << j for j, high in enumerate(classes) if precedes(low, high))
+        assert poset.leq[i] == row, low.label
+
+
+def test_n7_order_is_bounded_and_not_graded():
+    poset = build_poset(7)
+    table = poset.table
+    assert poset.size == 1033
+    assert poset.is_bounded()
+    assert len(hasse(poset).edges) == 5118
+    graded, witnesses = is_graded(poset)
+    assert not graded
+    assert len(witnesses) == 42
+    assert min(lo_inv for _, _, lo_inv, _ in witnesses) == 6
+    lo, hi, lo_inv, hi_inv = witnesses[0]
+    assert (lo_inv, hi_inv) == (6, 8)
+    assert lo == class_by_member(table, "1356274").label
+    assert hi == class_by_member(table, "2561374").label
 
 
 # ---------------------------------------------------------------------------
