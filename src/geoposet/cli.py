@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from .geoequiv import ClassTable, class_members, enumerate_classes
+from .geoequiv import ENUMERATION_MAX_N, ClassTable, class_members, enumerate_classes
 from .graphs import inversion_graph
 from .moddecomp import cograph_class_size, is_cograph
 from .perms import inversion_count, parse
@@ -140,8 +140,8 @@ def _format_table(table: ClassTable) -> str:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    if not 1 <= n <= 9:
-        raise UsageError("enumerate supports 1 <= n <= 9")
+    if not 1 <= n <= ENUMERATION_MAX_N:
+        raise UsageError(f"enumerate supports 1 <= n <= {ENUMERATION_MAX_N}")
     if n >= LONG_RUN_THRESHOLD and not args.allow_long:
         raise UsageError(
             f"n = {n} takes minutes; pass --allow-long to run it anyway"
@@ -161,8 +161,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         p = parse(args.word)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if p.n > 9:
-        raise UsageError("classification scans are bounded to n <= 9")
+    if p.n > ENUMERATION_MAX_N:
+        raise UsageError(f"classification scans are bounded to n <= {ENUMERATION_MAX_N}")
     members = class_members(p)
     g = inversion_graph(p)
     cograph = is_cograph(g)

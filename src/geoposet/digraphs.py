@@ -24,6 +24,7 @@ from .perms import (
     PairSet,
     Permutation,
     inversion_set,
+    pair_masks,
     perm_from_inversion_set,
 )
 
@@ -51,17 +52,10 @@ class Digraph:
     def sorted_arcs(self) -> list[Pair]:
         return sorted(self.arcs)
 
-    def out_masks(self) -> list[int]:
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[u - 1] |= 1 << (v - 1)
-        return masks
-
-    def in_masks(self) -> list[int]:
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[v - 1] |= 1 << (u - 1)
-        return masks
+    def masks(self) -> tuple[list[int], list[int]]:
+        """Out- and in-masks: bit v-1 of out[u-1] and bit u-1 of in[v-1]
+        are set for each arc (u, v)."""
+        return pair_masks(self.n, self.arcs)
 
     def underlying_graph(self) -> Graph:
         return Graph.from_edges(self.n, self.arcs)
@@ -77,24 +71,6 @@ class Digraph:
 def from_perm(p: Permutation) -> Digraph:
     """The permutation digraph D(p): arcs are exactly the inversions."""
     return Digraph(p.n, inversion_set(p).pairs)
-
-
-def word_masks(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Out- and in-masks of the permutation digraph, straight from the word:
-    bit j-1 of out[i-1] (and bit i-1 of in[j-1]) is set when (i, j) is an
-    inversion."""
-    n = len(word)
-    pos = [0] * n
-    for k, v in enumerate(word):
-        pos[v - 1] = k
-    out = [0] * n
-    inn = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pos[i] > pos[j]:
-                out[i] |= 1 << j
-                inn[j] |= 1 << i
-    return out, inn
 
 
 def reverse(d: Digraph) -> Digraph:
@@ -219,7 +195,7 @@ def canonical_key(d: Digraph) -> CanonicalKey:
     """
     if d.n > 16:
         raise ValueError("canonical keys are supported for n <= 16")
-    return _key_from_masks(d.n, d.out_masks(), d.in_masks())
+    return _key_from_masks(d.n, *d.masks())
 
 
 def canonical_key_hex(d: Digraph) -> str:
@@ -357,8 +333,7 @@ def spanning_embeds(dsmall: Digraph, dbig: Digraph) -> Optional[dict[int, int]]:
     if dsmall.n != dbig.n:
         raise ValueError("spanning embeddings need equal vertex counts")
     mapping = mask_embedding(
-        MaskDigraph.from_masks(dsmall.out_masks(), dsmall.in_masks()),
-        MaskDigraph.from_masks(dbig.out_masks(), dbig.in_masks()),
+        MaskDigraph.from_masks(*dsmall.masks()), MaskDigraph.from_masks(*dbig.masks())
     )
     if mapping is None:
         return None
@@ -375,7 +350,7 @@ def is_transitive(d: Digraph) -> bool:
     A two-step walk back to u itself would demand a self-loop, so digraphs
     containing a 2-cycle are never transitive.
     """
-    out = d.out_masks()
+    out = d.masks()[0]
     for u in range(d.n):
         reach = 0
         for v in bits(out[u]):
@@ -477,7 +452,7 @@ def induced_permutation(f: "Digraph | Orientation", f1: "Digraph | Orientation")
         raise ValueError("orientations do not assemble into a tournament")
     if not is_transitive(union):
         raise ValueError("assembled tournament is not transitive")
-    out = union.out_masks()
+    out = union.masks()[0]
     label = [n - out[v].bit_count() for v in range(n)]  # rank in the tournament
     pairs = frozenset((label[u - 1], label[v - 1]) for u, v in df.arcs)
     return perm_from_inversion_set(PairSet(n, pairs))

@@ -24,17 +24,19 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .digraphs import CanonicalKey, _key_from_masks, word_masks
+from .digraphs import CanonicalKey, _key_from_masks
+from .graphs import bits
 from .perms import (
     OrientationClass,
-    PairSet,
     Permutation,
     inverse,
     inversion_set,
-    is_inversion_set,
-    perm_from_inversion_set,
     reverse,
+    word_from_masks,
+    word_masks,
 )
+# Not called here; perfbench/spans.py wraps these two names on this module.
+from .perms import is_inversion_set, perm_from_inversion_set  # noqa: F401
 
 ENUMERATION_MAX_N = 9
 
@@ -115,23 +117,25 @@ def four_family(p: Permutation) -> tuple[Permutation, Permutation, Permutation, 
 def _represented_words(p: Permutation) -> set[tuple[int, ...]]:
     """Words sigma with D(sigma) isomorphic to D(p).
 
-    Scans vertex bijections that keep every arc increasing; the image arc
-    set must additionally satisfy the inversion-set closure conditions.
+    Scans vertex bijections that keep every arc increasing; ``word_from_masks``
+    keeps the image masks that are those of some word.
     """
     n = p.n
-    arcs = [(i - 1, j - 1) for i, j in inversion_set(p).sorted_pairs()]
+    arcs = [(u, v) for u, m in enumerate(word_masks(p.word)[0]) for v in bits(m)]
     found = set()
     for g in itertools.permutations(range(n)):
-        image = []
+        out = [0] * n
+        inn = [0] * n
         for u, v in arcs:
             a, b = g[u], g[v]
             if a > b:
                 break
-            image.append((a + 1, b + 1))
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
         else:
-            ps = PairSet(n, frozenset(image))
-            if is_inversion_set(ps):
-                found.add(perm_from_inversion_set(ps).word)
+            word = word_from_masks(out, inn)
+            if word is not None:
+                found.add(word)
     return found
 
 

@@ -6,6 +6,11 @@ i < j such that i appears *after* j in the word.  A subset A of the pairs
 over {1..n} is an inversion set of some permutation exactly when both A and
 its complement are transitively closed, and the permutation is then unique.
 
+Internally an inversion set is the out- and in-masks of the permutation
+digraph.  ``word_masks`` and ``word_from_masks`` are the one round trip
+between words and masks, and the only check that masks belong to a word;
+``is_inversion_set`` keeps the closure conditions as an independent oracle.
+
 Permutations also act on pair sets: rho sends (i, j) to the sorted pair on
 {rho(i), rho(j)}, either *order-preserving* (rho(i) < rho(j)) or
 *order-reversing*.  Whether a witness acts uniformly on a whole inversion
@@ -18,7 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Pair = tuple[int, int]
 
@@ -167,26 +172,7 @@ class PairSet:
         return iter(self.sorted_pairs())
 
 
-@dataclass(frozen=True)
-class InversionSet(PairSet):
-    """A PairSet that actually is the inversion set of some permutation.
-
-    Construction validates the two closure conditions: membership is
-    transitive, and so is non-membership.
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not is_inversion_set(PairSet(self.n, self.pairs)):
-            raise ValueError("pair set violates the inversion-set closure conditions")
-
-    def complement(self) -> "InversionSet":
-        # The complement of an inversion set is again one (it belongs to the
-        # reversed word).
-        return InversionSet(self.n, PairSet.universe(self.n).pairs - self.pairs)
-
-
-def inversion_set(p: Permutation) -> InversionSet:
+def inversion_set(p: Permutation) -> PairSet:
     """All pairs (i, j), i < j, with i appearing after j in the word.
 
     >>> sorted(inversion_set(parse("2431")).pairs)
@@ -199,7 +185,7 @@ def inversion_set(p: Permutation) -> InversionSet:
         for j in range(i + 1, p.n + 1)
         if pos[i - 1] > pos[j - 1]
     )
-    return InversionSet(p.n, pairs)
+    return PairSet(p.n, pairs)
 
 
 def inversion_count(p: Permutation) -> int:
@@ -228,26 +214,62 @@ def is_inversion_set(ps: PairSet) -> bool:
     return True
 
 
+def word_masks(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Out- and in-masks of the permutation digraph, straight from the word:
+    bit j-1 of out[i-1] (and bit i-1 of in[j-1]) is set when (i, j) is an
+    inversion."""
+    n = len(word)
+    pos = [0] * n
+    for k, v in enumerate(word):
+        pos[v - 1] = k
+    out = [0] * n
+    inn = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pos[i] > pos[j]:
+                out[i] |= 1 << j
+                inn[j] |= 1 << i
+    return out, inn
+
+
+def pair_masks(n: int, pairs: Iterable[Pair]) -> tuple[list[int], list[int]]:
+    """Out- and in-masks of the arcs (i, j) on vertices 1..n."""
+    out = [0] * n
+    inn = [0] * n
+    for i, j in pairs:
+        out[i - 1] |= 1 << (j - 1)
+        inn[j - 1] |= 1 << (i - 1)
+    return out, inn
+
+
+def word_from_masks(out: list[int], inn: list[int]) -> "tuple[int, ...] | None":
+    """The word whose ``word_masks`` are (out, inn), or None if there is none.
+
+    Value v goes to position v - |inn[v]| + |out[v]| (the smaller values it
+    is not inverted with, and the larger ones it is, come before it).  The
+    masks are accepted exactly when that places a permutation whose own
+    masks equal them.
+    """
+    n = len(out)
+    word = [0] * n
+    for v in range(n):
+        k = v - inn[v].bit_count() + out[v].bit_count()
+        if not 0 <= k < n or word[k]:
+            return None
+        word[k] = v + 1
+    result = tuple(word)
+    return result if word_masks(result) == (list(out), list(inn)) else None
+
+
 def perm_from_inversion_set(ps: PairSet) -> Permutation:
     """Rebuild the unique permutation whose inversion set is ``ps``.
 
-    The position of value v is one more than the number of values that
-    appear before it: a smaller value u precedes v exactly when (u, v) is
-    not an inversion, and a larger value w precedes v exactly when (v, w)
-    is one.  Raises ValueError if ``ps`` fails the closure conditions.
+    Raises ValueError if ``ps`` fails the closure conditions.
     """
-    if not isinstance(ps, InversionSet) and not is_inversion_set(ps):
+    word = word_from_masks(*pair_masks(ps.n, ps.pairs))
+    if word is None:
         raise ValueError("not an inversion set")
-    n = ps.n
-    pairs = ps.pairs
-    word = [0] * n
-    for v in range(1, n + 1):
-        before = sum(1 for u in range(1, v) if (u, v) not in pairs)
-        before += sum(1 for w in range(v + 1, n + 1) if (v, w) in pairs)
-        word[before] = v
-    result = Permutation(tuple(word))
-    assert inversion_set(result).pairs == pairs
-    return result
+    return Permutation(word)
 
 
 class OrientationClass(enum.Enum):

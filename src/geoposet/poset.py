@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Optional
 
-from .digraphs import MaskDigraph, from_perm, mask_embedding, spanning_embeds, word_masks
+from .digraphs import MaskDigraph, from_perm, mask_embedding, spanning_embeds
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
-from .perms import Permutation, inverse, inversion_set
+from .graphs import bits
+from .perms import Permutation, inverse, inversion_set, word_masks
 
 
 def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
@@ -74,6 +76,18 @@ class Poset:
 
     def is_leq(self, i: int, j: int) -> bool:
         return bool(self.leq[i] >> j & 1)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (lower, upper) index pairs of the transitive reduction."""
+        strict = [row & ~(1 << i) for i, row in enumerate(self.leq)]
+        edges = []
+        for i, row in enumerate(strict):
+            above = 0
+            for k in bits(row):
+                above |= strict[k]
+            edges.extend((i, j) for j in bits(row & ~above))
+        return tuple(edges)
 
     def bounds(self) -> tuple[Optional[GeoClass], Optional[GeoClass]]:
         """The first and last elements, when they exist."""
@@ -235,29 +249,10 @@ class HasseDiagram:
 
 def hasse(poset: Poset) -> HasseDiagram:
     """Transitive reduction with deterministic edge order."""
-    size = poset.size
-    strict = [poset.leq[i] & ~(1 << i) for i in range(size)]
-    pred = [0] * size
-    for i in range(size):
-        row = strict[i]
-        while row:
-            low = row & -row
-            pred[low.bit_length() - 1] |= 1 << i
-            row ^= low
-    edges = []
-    for i in range(size):
-        row = strict[i]
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            row ^= low
-            if not strict[i] & pred[j]:
-                edges.append((i, j))
-    edges.sort()
     return HasseDiagram(
         labels=poset.table.labels,
         representatives=tuple(str(c.representative) for c in poset.table.classes),
-        edges=tuple(edges),
+        edges=poset.covers,
     )
 
 
@@ -269,7 +264,7 @@ def is_graded(poset: Poset) -> tuple[bool, tuple[tuple[str, str, int, int], ...]
     """
     witnesses = []
     classes = poset.table.classes
-    for i, j in hasse(poset).edges:
+    for i, j in poset.covers:
         lo, hi = classes[i], classes[j]
         if hi.inversions != lo.inversions + 1:
             witnesses.append((lo.label, hi.label, lo.inversions, hi.inversions))

@@ -80,6 +80,7 @@ def test_cache_round_trip():
     loaded = load_cached_table(4)
     assert loaded is not None
     assert loaded.to_json() == table.to_json()
+    assert [c.key for c in loaded.classes] == [c.key for c in table.classes]
 
 
 def test_cache_digest_mismatch_forces_recompute(tmp_path, monkeypatch):

@@ -19,11 +19,10 @@ from geoposet.digraphs import (
     related,
     reverse,
     spanning_embeds,
-    word_masks,
 )
 from geoposet.geoequiv import enumerate_classes
 from geoposet.graphs import Graph, complete_graph, cycle_graph, empty_graph
-from geoposet.perms import all_permutations, identity, inverse, inversion_set, parse
+from geoposet.perms import all_permutations, identity, inverse, inversion_set, parse, word_masks
 from geoposet.perms import reverse as word_reverse
 
 

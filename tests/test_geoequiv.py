@@ -118,6 +118,13 @@ def test_class_members_of_involution_counterexample():
     assert "465213" in members
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_class_members_match_enumeration(n):
+    home = {m: c for c in enumerate_classes(n).classes for m in c.members}
+    for p in all_permutations(n):
+        assert class_members(p) == home[p].members, str(p)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 

@@ -20,6 +20,8 @@ from geoposet.perms import (
     parse,
     perm_from_inversion_set,
     reverse,
+    word_from_masks,
+    word_masks,
 )
 
 
@@ -148,6 +150,37 @@ def test_perm_from_inversion_set_rejects_non_inversion_sets():
 def test_inversion_set_round_trip_exhaustive(n):
     for p in all_permutations(n):
         assert perm_from_inversion_set(inversion_set(p)) == p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_perm_from_inversion_set_agrees_with_closure_oracle(n):
+    # every subset of the pairs: 1, 2, 8, 64, 1024 sets for n = 1..5
+    universe = PairSet.universe(n).sorted_pairs()
+    for chosen in itertools.product((False, True), repeat=len(universe)):
+        ps = PairSet(n, frozenset(pair for pair, keep in zip(universe, chosen) if keep))
+        if is_inversion_set(ps):
+            assert inversion_set(perm_from_inversion_set(ps)).pairs == ps.pairs
+        else:
+            with pytest.raises(ValueError):
+                perm_from_inversion_set(ps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_word_from_masks_round_trip_and_rejections(n):
+    for word in itertools.permutations(range(1, n + 1)):
+        out, inn = word_masks(word)
+        assert word_from_masks(out, inn) == word
+        if any(inn):
+            # out alone is consistent with the word; inn must match too
+            assert word_from_masks(out, [0] * n) is None
+    # a bit beyond the last vertex
+    assert word_from_masks([1 << n] + [0] * (n - 1), [0] * n) is None
+
+
+def test_word_from_masks_rejects_masks_that_disagree():
+    # out says (1, 3), in says (1, 2): the placement is the word 213, whose
+    # masks are neither, so only the final equality check rejects it
+    assert word_from_masks([0b100, 0, 0], [0, 0b001, 0]) is None
 
 
 def test_inverse_pair_relation():
