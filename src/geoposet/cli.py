@@ -21,7 +21,7 @@ from .geoequiv import ENUMERATION_MAX_N, ClassTable, class_members, enumerate_cl
 from .graphs import inversion_graph
 from .moddecomp import cograph_class_size, is_cograph
 from .perms import inversion_count, parse
-from .poset import build_poset, hasse, is_graded
+from .poset import POSET_MAX_N, build_poset, hasse, is_graded
 
 CACHE_SCHEMA_VERSION = 1
 LONG_RUN_THRESHOLD = 8
@@ -187,8 +187,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_poset(args: argparse.Namespace) -> int:
     n = args.n
-    if not 1 <= n <= 7:
-        raise UsageError("poset construction supports 1 <= n <= 7")
+    if not 1 <= n <= POSET_MAX_N:
+        raise UsageError(f"poset construction supports 1 <= n <= {POSET_MAX_N}")
     workers = _resolve_workers(args.threads)
     table = _obtain_table(n, use_cache=not args.no_cache, workers=workers)
     poset = build_poset(table, workers=workers)
@@ -231,11 +231,11 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import run_verification
+    from .verify import VERIFY_MAX_N, run_verification
 
     n_max = args.n_max
-    if not 1 <= n_max <= 6:
-        raise UsageError("verify supports 1 <= N_MAX <= 6")
+    if not 1 <= n_max <= VERIFY_MAX_N:
+        raise UsageError(f"verify supports 1 <= N_MAX <= {VERIFY_MAX_N}")
     workers = _resolve_workers(args.threads)
     results = run_verification(n_max, workers=workers)
     for suite in results["suites"]:

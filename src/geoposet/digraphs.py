@@ -3,10 +3,14 @@
 D(pi) is the digraph on vertices 1..n whose arcs are the inversions of pi.
 Isomorphism testing goes through an exact canonical key: the key is the
 lexicographically least adjacency encoding over vertex orderings compatible
-with an iterated degree refinement, so equal keys hold exactly for
-isomorphic digraphs.  Interchangeable vertices (transposition automorphisms)
-are collapsed during the search, which keeps highly symmetric inputs such as
-arcless digraphs cheap.
+with a color refinement, so equal keys hold exactly for isomorphic
+digraphs.  The refinement starts from the ranked (out-degree, in-degree)
+pairs and splits cells by how many out- and in-neighbours each vertex has
+in every cell, counted on bitmasks, until the partition is equitable or
+discrete (McKay & Piperno, "Practical graph isomorphism II", 2014).
+Interchangeable vertices (transposition automorphisms) are collapsed during
+the search, which keeps highly symmetric inputs such as arcless digraphs
+cheap.
 
 The module also hosts the brute-force transitive-orientation enumerator and
 the construction that reads a permutation off a pair of transitive
@@ -83,22 +87,46 @@ def reverse(d: Digraph) -> Digraph:
 # canonical labeling
 
 
+def _rank(sigs: list) -> tuple[list[int], int]:
+    """Each signature's rank among the distinct ones, and how many there are."""
+    ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    return [ranking[s] for s in sigs], len(ranking)
+
+
 def _refine_colors(n: int, out: list[int], inn: list[int]) -> list[int]:
-    """Iterated color refinement; the returned color ids order the cells
-    canonically (they are ranks of label-invariant signatures)."""
-    colors = [0] * n
-    ncolors = 1
-    while True:
+    """Iterated color refinement to an equitable partition.
+
+    Colors start as the ranks of the (out-degree, in-degree) pairs.  Each
+    round, a vertex's signature is its color followed by how many of its
+    out- and in-neighbours lie in each cell, read as ``bit_count`` of the
+    adjacency mask against the cell mask; the new colors are the ranks of
+    those signatures.  Refinement stops when a round splits no cell or
+    every cell is a single vertex.  Signatures are label-invariant, so the
+    color ids order the cells canonically.
+    """
+    colors, ncolors = _rank([(o.bit_count(), i.bit_count()) for o, i in zip(out, inn)])
+    while ncolors < n:
+        cells = [0] * ncolors
+        for v, c in enumerate(colors):
+            cells[c] |= 1 << v
         sigs = []
-        for v in range(n):
-            osig = sorted(colors[w] for w in bits(out[v]))
-            isig = sorted(colors[w] for w in bits(inn[v]))
-            sigs.append((colors[v], tuple(osig), tuple(isig)))
-        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        colors = [ranking[s] for s in sigs]
-        if len(ranking) == ncolors:
-            return colors
-        ncolors = len(ranking)
+        for v, c in enumerate(colors):
+            if cells[c] & (cells[c] - 1):
+                o, i = out[v], inn[v]
+                sigs.append(
+                    (
+                        c,
+                        *[(o & m).bit_count() for m in cells],
+                        *[(i & m).bit_count() for m in cells],
+                    )
+                )
+            else:
+                sigs.append((c,))  # a single vertex's cell cannot split
+        colors, count = _rank(sigs)
+        if count == ncolors:
+            break
+        ncolors = count
+    return colors
 
 
 def _twin_predecessors(n: int, out: list[int], inn: list[int]) -> list[Optional[int]]:

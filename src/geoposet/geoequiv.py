@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Optional
 
@@ -191,11 +192,15 @@ class ClassTable:
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.classes)
 
+    @cached_property
+    def _class_index(self) -> dict[Permutation, GeoClass]:
+        return {m: c for c in self.classes for m in c.members}
+
     def class_of(self, p: Permutation) -> GeoClass:
-        for c in self.classes:
-            if p in c.members:
-                return c
-        raise KeyError(f"{p} is not a member of any class (n mismatch?)")
+        try:
+            return self._class_index[p]
+        except KeyError:
+            raise KeyError(f"{p} is not a member of any class (n mismatch?)") from None
 
     def to_json_obj(self) -> dict:
         return {
@@ -246,19 +251,41 @@ class ClassTable:
         return buf.getvalue()
 
 
-def _keys_for_range(args: tuple[int, int, int]) -> list[CanonicalKey]:
-    """Worker: canonical keys for a lexicographic slice of S_n."""
-    n, start, stop = args
-    words = itertools.islice(itertools.permutations(range(1, n + 1)), start, stop)
+def _inverse_word(w: tuple[int, ...]) -> tuple[int, ...]:
+    iw = [0] * len(w)
+    for k, v in enumerate(w):
+        iw[v - 1] = k + 1
+    return tuple(iw)
+
+
+def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    """rc(w⁻¹), the word of k ↦ n+1−w⁻¹(n+1−k): the reverse-complement of
+    the inverse."""
+    n = len(w)
+    word = [0] * n
+    for k, v in enumerate(w):
+        word[n - v] = n - k
+    return tuple(word)
+
+
+def _keys_for_words(words: list[tuple[int, ...]]) -> list[CanonicalKey]:
+    """Worker: canonical keys for a chunk of words."""
     return [_word_key(w) for w in words]
 
 
 def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
     """Partition all of S_n into geo-equivalence classes.
 
-    ``workers`` > 1 spreads key computation over processes; the output is
-    byte-identical for any worker count.  Refuses n outside 1..9: the scan
-    is exact and the factorial growth makes larger n a different project.
+    One key serves each orbit {w, rc(w⁻¹)}, rc being reverse-complement:
+    inverting a word reverses every arc of its digraph, and so does rc, so
+    the relabelling i ↦ n+1−i carries D(w) onto D(rc(w⁻¹)).  Only the
+    lexicographically smaller word of each orbit is keyed, and its key is
+    stored under both words; at n = 8 that is 20 542 keys for 40 320 words.
+
+    ``workers`` > 1 spreads the keys over processes, in chunks of orbit
+    representatives; the output is byte-identical for any worker count.
+    Refuses n outside 1..9: the scan is exact and the factorial growth makes
+    larger n a different project.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(
@@ -266,29 +293,26 @@ def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
         )
     words = list(itertools.permutations(range(1, n + 1)))
     total = len(words)
+    reps = [w for w in words if w <= _rc_inverse(w)]
     if workers <= 1 or total < 600:
-        keys = [_word_key(w) for w in words]
+        keys = _keys_for_words(reps)
     else:
         import multiprocessing as mp
 
-        chunk = (total + workers * 4 - 1) // (workers * 4)
-        ranges = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            parts = pool.map(_keys_for_range, ranges)
+        chunk = (len(reps) + workers * 4 - 1) // (workers * 4)
+        chunks = [reps[lo : lo + chunk] for lo in range(0, len(reps), chunk)]
+        with mp.Pool(workers) as pool:
+            parts = pool.map(_keys_for_words, chunks)
         keys = [k for part in parts for k in part]
 
-    key_of = dict(zip(words, keys))
-
-    def inverse_word(w: tuple[int, ...]) -> tuple[int, ...]:
-        iw = [0] * n
-        for k, v in enumerate(w):
-            iw[v - 1] = k + 1
-        return tuple(iw)
+    key_of = dict(zip(reps, keys))
+    for w in words:
+        if w not in key_of:
+            key_of[w] = key_of[_rc_inverse(w)]
 
     groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
     for w in words:
-        ck = min(key_of[w], key_of[inverse_word(w)])
+        ck = min(key_of[w], key_of[_inverse_word(w)])
         groups.setdefault(ck, []).append(w)
 
     raw = []

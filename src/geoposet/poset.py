@@ -35,6 +35,9 @@ from .geoequiv import ClassTable, GeoClass, enumerate_classes
 from .graphs import bits
 from .perms import Permutation, inverse, inversion_set, word_masks
 
+# The largest n the ``poset`` command builds the order for.
+POSET_MAX_N = 7
+
 
 def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
     """Non-strict order on classes: equal, or properly embeddable.
@@ -145,8 +148,7 @@ def build_poset(source: "int | ClassTable", workers: int = 1) -> Poset:
     if workers > 1 and size >= 16:
         import multiprocessing as mp
 
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(shapes,)) as pool:
+        with mp.Pool(workers, initializer=_init_worker, initargs=(shapes,)) as pool:
             for start, stop in levels:
                 stride = min(stop - start, 4 * workers)
                 tasks = [(range(start + t, stop, stride), stop, rows) for t in range(stride)]

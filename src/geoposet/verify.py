@@ -44,6 +44,9 @@ from .perms import (
 )
 from .poset import bruhat_extension_check, build_poset, is_graded
 
+# The largest N_MAX the ``verify`` command accepts.
+VERIFY_MAX_N = 6
+
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 12, 5: 39, 6: 182, 7: 1033, 8: 7605, 9: 66302}
 SCHROEDER = {1: 1, 2: 2, 3: 6, 4: 22, 5: 90, 6: 394, 7: 1806}
 

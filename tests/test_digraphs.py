@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoposet.digraphs import (
     Digraph,
@@ -122,10 +124,30 @@ def test_key_relabeling_invariance_sampled():
             assert canonical_key(relabel(d, img)) == base
 
 
+@st.composite
+def relabelled_permutation_digraph(draw):
+    n = draw(st.integers(10, 16))
+    word = draw(st.permutations(range(1, n + 1)))
+    img = draw(st.permutations(range(1, n + 1)))
+    d = from_perm(parse(",".join(map(str, word))))
+    return d, relabel(d, img)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_permutation_digraph())
+def test_key_relabeling_invariance_large_n(pair):
+    d, relabelled = pair
+    assert canonical_key(relabelled) == canonical_key(d)
+
+
 def test_key_agrees_with_brute_force_on_random_pairs():
     rng = random.Random(7)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         pool = [random_digraph(rng, n, p) for p in (0.2, 0.4, 0.7) for _ in range(6)]
+        # relabelled copies give isomorphic pairs; at n >= 5 random pairs
+        # almost never are.  p = 0.4 and 0.7 draw 2-cycles freely.
+        pool += [relabel(d, rng.sample(range(1, n + 1), n)) for d in pool]
+        assert any((v, u) in d.arcs for d in pool for u, v in d.arcs)
         for d1, d2 in itertools.combinations(pool, 2):
             expected = brute_isomorphic(d1, d2)
             got = canonical_key(d1) == canonical_key(d2)

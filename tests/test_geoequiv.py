@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from geoposet import geoequiv
 from geoposet.geoequiv import (
     ClassTable,
     class_key,
@@ -198,6 +199,38 @@ def test_enumerate_rejects_out_of_envelope():
         enumerate_classes(0)
     with pytest.raises(ValueError):
         enumerate_classes(10)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_word_key_shared_by_rc_inverse(n):
+    # D(rc(w^-1)) is D(w) relabelled by i -> n+1-i; enumerate_classes keys
+    # one word per {w, rc(w^-1)} orbit on the strength of it
+    for p in all_permutations(n):
+        rc_inv = tuple(n + 1 - v for v in reversed(inverse(p).word))
+        assert geoequiv._rc_inverse(p.word) == rc_inv
+        assert geoequiv._word_key(p.word) == geoequiv._word_key(rc_inv), str(p)
+
+
+def test_enumerate_keys_one_word_per_orbit(monkeypatch):
+    n = 6
+    orbits = {frozenset({p.word, geoequiv._rc_inverse(p.word)}) for p in all_permutations(n)}
+    keyed = []
+    key_from_masks = geoequiv._key_from_masks
+
+    def counting(*args):
+        keyed.append(args)
+        return key_from_masks(*args)
+
+    monkeypatch.setattr(geoequiv, "_key_from_masks", counting)
+    enumerate_classes(n)
+    assert len(keyed) == len(orbits) == 398
+
+
+def test_class_of_rejects_non_members():
+    table = enumerate_classes(4)
+    with pytest.raises(KeyError) as excinfo:
+        table.class_of(parse("12345"))
+    assert excinfo.value.args[0] == "12345 is not a member of any class (n mismatch?)"
 
 
 def test_enumerate_worker_count_does_not_change_output():

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import geoposet
 from geoposet.geoequiv import enumerate_classes
 from geoposet.perms import all_permutations, inverse, inversion_set, parse
 from geoposet.poset import (
@@ -183,6 +189,45 @@ def test_poset_worker_count_invariance():
     parallel = build_poset(table, workers=2).to_json()
     assert serial == parallel
     assert json.loads(serial)["n"] == 6
+
+
+SPAWNED_POOLS = """
+import multiprocessing as mp
+import multiprocessing.popen_fork
+
+from geoposet.geoequiv import enumerate_classes
+from geoposet.poset import build_poset
+
+
+def no_fork(self, process_obj):
+    raise RuntimeError("a worker pool forked")
+
+
+if __name__ == "__main__":
+    mp.set_start_method("spawn")
+    # the spawn Popen overrides _launch; only a forking pool reaches this
+    multiprocessing.popen_fork.Popen._launch = no_fork
+    table = enumerate_classes(6, workers=1)
+    assert enumerate_classes(6, workers=2).to_json() == table.to_json()
+    assert build_poset(table, workers=2).to_json() == build_poset(table, workers=1).to_json()
+    print(mp.get_start_method())
+"""
+
+
+def test_worker_pools_run_under_spawn(tmp_path):
+    script = tmp_path / "spawned_pools.py"
+    script.write_text(SPAWNED_POOLS)
+    src = str(Path(geoposet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(script)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "spawn\n"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
