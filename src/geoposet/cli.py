@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -144,7 +145,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise UsageError(f"enumerate supports 1 <= n <= {ENUMERATION_MAX_N}")
     if n >= LONG_RUN_THRESHOLD and not args.allow_long:
         raise UsageError(
-            f"n = {n} takes minutes; pass --allow-long to run it anyway"
+            f"n = {n} scans all {math.factorial(n)} words of S_{n}; "
+            "pass --allow-long to run it anyway"
         )
     table = _obtain_table(n, use_cache=not args.no_cache, workers=_resolve_workers(args.threads))
     if args.format == "json":

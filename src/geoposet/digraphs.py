@@ -395,10 +395,6 @@ class Orientation:
     digraph: Digraph
     transitive: bool
 
-    @classmethod
-    def of(cls, d: Digraph) -> "Orientation":
-        return cls(d, is_transitive(d))
-
 
 def enumerate_transitive_orientations(g: Graph) -> list[Orientation]:
     """All transitive orientations of g by direct search over edge

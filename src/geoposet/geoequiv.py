@@ -31,6 +31,7 @@ from .perms import (
     OrientationClass,
     Permutation,
     inverse,
+    inversion_count,
     inversion_set,
     reverse,
     word_from_masks,
@@ -100,8 +101,11 @@ def class_key(p: Permutation) -> CanonicalKey:
 
     The smaller of the canonical keys of D(p) and of D(p) with all arcs
     reversed; reversal is what identifies a drawing with its apex swap.
+    Reversing the arcs swaps the out- and in-masks, so one mask pair serves
+    both keys.
     """
-    return min(_word_key(p.word), _word_key(inverse(p).word))
+    out, inn = word_masks(p.word)
+    return min(_key_from_masks(p.n, out, inn), _key_from_masks(p.n, inn, out))
 
 
 def four_family(p: Permutation) -> tuple[Permutation, Permutation, Permutation, Permutation]:
@@ -115,40 +119,40 @@ def four_family(p: Permutation) -> tuple[Permutation, Permutation, Permutation, 
     return (p, inverse(p), q, inverse(q))
 
 
-def _represented_words(p: Permutation) -> set[tuple[int, ...]]:
-    """Words sigma with D(sigma) isomorphic to D(p).
-
-    Scans vertex bijections that keep every arc increasing; ``word_from_masks``
-    keeps the image masks that are those of some word.
-    """
-    n = p.n
-    arcs = [(u, v) for u, m in enumerate(word_masks(p.word)[0]) for v in bits(m)]
-    found = set()
-    for g in itertools.permutations(range(n)):
-        out = [0] * n
-        inn = [0] * n
-        for u, v in arcs:
-            a, b = g[u], g[v]
-            if a > b:
-                break
-            out[a] |= 1 << b
-            inn[b] |= 1 << a
-        else:
-            word = word_from_masks(out, inn)
-            if word is not None:
-                found.add(word)
-    return found
-
-
 def class_members(p: Permutation) -> tuple[Permutation, ...]:
     """Every permutation geo-equivalent to p, in lexicographic order.
 
-    Costs one scan of S_n for D(p) and one for D(p inverse), so it stays
-    usable through n = 9 without enumerating the whole class table.
+    One scan of the vertex bijections g of D(p).  When g makes every arc
+    increasing, the image of D(p) is a candidate; when g makes every arc
+    decreasing, the image of D(p) reversed is, since that digraph is
+    isomorphic to D(p inverse), and reversal swaps the out- and in-masks.
+    A bijection that mixes the two directions gives neither.
+    ``word_from_masks`` keeps the candidates that are the digraph of some
+    word.  The identity has no arcs and is alone in its class.  The
+    scan stays usable through n = 9 without enumerating the class table.
     """
     if p.n > ENUMERATION_MAX_N:
         raise ValueError(f"class membership scans are bounded to n <= {ENUMERATION_MAX_N}")
-    words = _represented_words(p) | _represented_words(inverse(p))
+    n = p.n
+    arcs = [(u, v) for u, m in enumerate(word_masks(p.word)[0]) for v in bits(m)]
+    if not arcs:
+        return (p,)  # only the identity has no inversions
+    u0, v0 = arcs[0]
+    words = set()
+    for g in itertools.permutations(range(n)):
+        rising = g[u0] < g[v0]
+        for u, v in arcs:
+            if (g[u] < g[v]) is not rising:
+                break
+        else:
+            out = [0] * n
+            inn = [0] * n
+            for u, v in arcs:
+                out[g[u]] |= 1 << g[v]
+                inn[g[v]] |= 1 << g[u]
+            word = word_from_masks(out, inn) if rising else word_from_masks(inn, out)
+            if word is not None:
+                words.add(word)
     return tuple(Permutation(w) for w in sorted(words))
 
 
@@ -318,9 +322,8 @@ def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
     raw = []
     for ck, members in groups.items():
         members.sort()
-        rep = members[0]
-        inv = sum(1 for a in range(n) for b in range(a + 1, n) if rep[a] > rep[b])
-        raw.append((inv, rep, members, ck))
+        rep = Permutation(members[0])
+        raw.append((inversion_count(rep), rep, members, ck))
     raw.sort(key=lambda item: (item[0], item[1]))
 
     classes = []
@@ -333,7 +336,7 @@ def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
             GeoClass(
                 label=f"{inv}.{within}",
                 inversions=inv,
-                representative=Permutation(rep),
+                representative=rep,
                 members=tuple(Permutation(w) for w in members),
                 key=ck,
             )

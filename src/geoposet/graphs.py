@@ -56,24 +56,6 @@ class Graph:
             w for w in range(1, self.n + 1) if w != v and self.has_edge(v, w)
         )
 
-    def is_connected(self) -> bool:
-        full = (1 << self.n) - 1
-        return components_within(full, self.adjacency_masks()) == [full]
-
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph on ``vertices`` relabeled 1..k by sorted order.
-
-        Returns the subgraph and the old-label -> new-label mapping.
-        """
-        vs = sorted(set(vertices))
-        relabel = {v: k for k, v in enumerate(vs, start=1)}
-        edges = frozenset(
-            (relabel[u], relabel[v])
-            for u, v in self.edges
-            if u in relabel and v in relabel
-        )
-        return Graph(len(vs), edges), relabel
-
 
 def components_within(mask: int, adjacency: list[int]) -> list[int]:
     """Connected components of the subgraph induced on the bitmask ``mask``.

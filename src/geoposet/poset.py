@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Optional
 
-from .digraphs import MaskDigraph, from_perm, mask_embedding, spanning_embeds
+from .digraphs import MaskDigraph, from_perm, mask_embedding, reverse, spanning_embeds
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
 from .graphs import bits
 from .perms import Permutation, inverse, inversion_set, word_masks
@@ -44,18 +44,19 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
 
     Representatives decide; the outcome is independent of the choice of
     members.  Classes with the same inversion count but different keys are
-    incomparable, since a proper sub-digraph has strictly fewer arcs.
+    incomparable, since a proper sub-digraph has strictly fewer arcs.  The
+    target's inverse enters as D(target) with its arcs reversed, which is
+    isomorphic to the inverse's digraph.
     """
     if c_sigma.key == c_pi.key:
         return True
     if c_sigma.inversions >= c_pi.inversions:
         return False
     d_sigma = from_perm(c_sigma.representative)
-    if spanning_embeds(d_sigma, from_perm(c_pi.representative)) is not None:
+    d_pi = from_perm(c_pi.representative)
+    if spanning_embeds(d_sigma, d_pi) is not None:
         return True
-    return (
-        spanning_embeds(d_sigma, from_perm(inverse(c_pi.representative))) is not None
-    )
+    return spanning_embeds(d_sigma, reverse(d_pi)) is not None
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,10 @@ def test_key_invariant_under_self_inverse_reversal():
     assert canonical_key(d) == canonical_key(reverse(d))
 
 
-def test_reverse_digraph_is_inverse_digraph():
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_reverse_digraph_is_inverse_digraph(n):
     assert is_isomorphic(reverse(from_perm(parse("3421"))), from_perm(parse("4312")))
-    for p in all_permutations(5):
+    for p in all_permutations(n):
         assert canonical_key(reverse(from_perm(p))) == canonical_key(
             from_perm(inverse(p))
         )
