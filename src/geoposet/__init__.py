@@ -7,12 +7,13 @@ grouping S_n by their permutation digraphs modulo relabeling and arc
 reversal.  The package builds those classes, sizes them through modular
 decomposition, orders them by crossing-pattern embedding, and backs the
 whole chain with an exact rational geometry oracle.
+
+The submodules and the names imported here are the public API.
 """
 
 from .digraphs import (
     CanonicalKey,
     Digraph,
-    Orientation,
     canonical_key,
     canonical_key_hex,
     enumerate_transitive_orientations,
@@ -89,75 +90,3 @@ from .poset import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CanonicalKey",
-    "ClassSizeReport",
-    "ClassTable",
-    "Digraph",
-    "GeneralPositionError",
-    "GeoClass",
-    "Graph",
-    "HasseDiagram",
-    "MDNode",
-    "MDTree",
-    "NodeKind",
-    "Orientation",
-    "OrientationClass",
-    "PairSet",
-    "Permutation",
-    "Poset",
-    "Realization",
-    "act",
-    "all_permutations",
-    "bruhat_below",
-    "bruhat_covers",
-    "bruhat_extension_check",
-    "build_poset",
-    "build_realization",
-    "canonical_key",
-    "canonical_key_hex",
-    "check_symmetric_difference",
-    "class_key",
-    "class_members",
-    "cograph_class_size",
-    "compare_with_reference",
-    "complete_graph",
-    "compose",
-    "count_transitive_orientations",
-    "crossing_pairs",
-    "crossings",
-    "cycle_graph",
-    "decompose",
-    "empty_graph",
-    "enumerate_classes",
-    "enumerate_transitive_orientations",
-    "equivalent_bruteforce",
-    "equivalent_fast",
-    "four_family",
-    "hasse",
-    "identity",
-    "induced_permutation",
-    "inverse",
-    "inversion_count",
-    "inversion_graph",
-    "inversion_set",
-    "is_cograph",
-    "is_graded",
-    "is_inversion_set",
-    "is_isomorphic",
-    "is_module",
-    "is_transitive",
-    "load_s5_reference",
-    "parse",
-    "path_graph",
-    "perm_from_inversion_set",
-    "precedes",
-    "prime_unique_orientability_check",
-    "recover_permutation",
-    "recover_with_relabeling",
-    "related",
-    "render_svg",
-    "reverse",
-    "spanning_embeds",
-    "validate_general_position",
-]

@@ -51,11 +51,6 @@ class Graph:
             masks[v - 1] |= 1 << (u - 1)
         return masks
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(
-            w for w in range(1, self.n + 1) if w != v and self.has_edge(v, w)
-        )
-
 
 def components_within(mask: int, adjacency: list[int]) -> list[int]:
     """Connected components of the subgraph induced on the bitmask ``mask``.

@@ -28,16 +28,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digraphs import (
-    Digraph,
-    canonical_key,
-    enumerate_transitive_orientations,
-    from_perm,
-    is_isomorphic,
-    reverse,
-)
+from .digraphs import enumerate_transitive_orientations
+from .geoequiv import _inverse_word, _word_key
 from .graphs import Graph, bits, components_within, inversion_graph
 from .perms import Permutation
+# Not called here; perfbench/spans.py wraps these two names on this module.
+from .digraphs import canonical_key, from_perm  # noqa: F401
 
 
 class NodeKind(enum.Enum):
@@ -263,23 +259,16 @@ class ClassSizeReport:
             raise ValueError("class_size inconsistent with n_d and self_related")
 
 
-def _induced_subdigraph(d: Digraph, vertices: frozenset[int]) -> Digraph:
-    vs = sorted(vertices)
-    relabel = {v: k for k, v in enumerate(vs, start=1)}
-    arcs = frozenset(
-        (relabel[u], relabel[v]) for u, v in d.arcs if u in relabel and v in relabel
-    )
-    return Digraph(len(vs), arcs)
-
-
 def cograph_class_size(p: Permutation) -> ClassSizeReport:
     """Size of the class of p when its inversion graph is a cograph.
 
     At each degenerate 0-node, permuting children that induce isomorphic
     sub-digraphs of D(p) never changes the represented permutation, so the
     node contributes k! divided by the factorials of the isomorphism-type
-    multiplicities.  The class holds the represented permutations of both
-    D(p) and its reversal, which coincide exactly when the two digraphs are
+    multiplicities.  The sub-digraph on a child's values is the digraph of
+    the pattern of p on them: the subsequence of those values, standardized.
+    The class holds the represented permutations of both D(p) and its
+    reversal, which coincide exactly when D(p) and D(p inverse) are
     isomorphic.
     """
     g = inversion_graph(p)
@@ -288,20 +277,20 @@ def cograph_class_size(p: Permutation) -> ClassSizeReport:
         raise ValueError(
             "inversion graph has a prime node; class size needs enumeration"
         )
-    d = from_perm(p)
+    w = p.word
     n_d = 1
     for node in tree.internal_nodes():
         if node.kind is not NodeKind.DEGENERATE_0:
             continue
-        types = Counter(
-            canonical_key(_induced_subdigraph(d, child.vertices))
-            for child in node.children
-        )
+        types = Counter()
+        for child in node.children:
+            rank = {v: k for k, v in enumerate(sorted(child.vertices), start=1)}
+            types[_word_key(tuple(rank[v] for v in w if v in rank))] += 1
         factor = math.factorial(len(node.children))
         for multiplicity in types.values():
             factor //= math.factorial(multiplicity)
         n_d *= factor
-    self_related = is_isomorphic(d, reverse(d))
+    self_related = _word_key(w) == _word_key(_inverse_word(w))
     return ClassSizeReport(
         n_d=n_d,
         self_related=self_related,

@@ -30,13 +30,22 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Optional
 
-from .digraphs import MaskDigraph, from_perm, mask_embedding, reverse, spanning_embeds
+from .digraphs import MaskDigraph, mask_embedding
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
 from .graphs import bits
 from .perms import Permutation, inverse, inversion_set, word_masks
+# Not called here; perfbench/spans.py wraps these two names on this module.
+from .digraphs import from_perm, spanning_embeds  # noqa: F401
 
 # The largest n the ``poset`` command builds the order for.
 POSET_MAX_N = 7
+
+
+def _shapes(p: Permutation) -> tuple[MaskDigraph, MaskDigraph]:
+    """D(p) as a ``MaskDigraph``, and D(p) with its arcs reversed, which is
+    isomorphic to the inverse's digraph."""
+    shape = MaskDigraph.from_masks(*word_masks(p.word))
+    return shape, shape.flipped()
 
 
 def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
@@ -44,19 +53,18 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
 
     Representatives decide; the outcome is independent of the choice of
     members.  Classes with the same inversion count but different keys are
-    incomparable, since a proper sub-digraph has strictly fewer arcs.  The
-    target's inverse enters as D(target) with its arcs reversed, which is
-    isomorphic to the inverse's digraph.
+    incomparable, since a proper sub-digraph has strictly fewer arcs.
     """
     if c_sigma.key == c_pi.key:
         return True
     if c_sigma.inversions >= c_pi.inversions:
         return False
-    d_sigma = from_perm(c_sigma.representative)
-    d_pi = from_perm(c_pi.representative)
-    if spanning_embeds(d_sigma, d_pi) is not None:
-        return True
-    return spanning_embeds(d_sigma, reverse(d_pi)) is not None
+    source = _shapes(c_sigma.representative)[0]
+    target, flipped = _shapes(c_pi.representative)
+    return (
+        mask_embedding(source, target) is not None
+        or mask_embedding(source, flipped) is not None
+    )
 
 
 @dataclass(frozen=True)
@@ -137,10 +145,7 @@ def build_poset(source: "int | ClassTable", workers: int = 1) -> Poset:
     table = enumerate_classes(source) if isinstance(source, int) else source
     classes = table.classes
     size = len(classes)
-    shapes = []
-    for c in classes:
-        shape = MaskDigraph.from_masks(*word_masks(c.representative.word))
-        shapes.append((shape, shape.flipped()))
+    shapes = [_shapes(c.representative) for c in classes]
     starts = [
         k for k in range(size) if k == 0 or classes[k].inversions != classes[k - 1].inversions
     ]

@@ -12,6 +12,7 @@ import random
 from typing import Callable
 
 from .digraphs import (
+    Digraph,
     canonical_key,
     enumerate_transitive_orientations,
     from_perm,
@@ -115,8 +116,6 @@ def _suite_key_relabeling(n_max: int, workers: int, rng: random.Random):
         base = canonical_key(d)
         image = rng.sample(range(1, n + 1), n)
         relabel = dict(zip(range(1, n + 1), image))
-        from .digraphs import Digraph
-
         moved = Digraph(n, frozenset((relabel[u], relabel[v]) for u, v in d.arcs))
         if canonical_key(moved) != base:
             return False, f"key changed under relabeling of {p}"

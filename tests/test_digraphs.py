@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from geoposet.digraphs import (
     Digraph,
     MaskDigraph,
-    Orientation,
     canonical_key,
     canonical_key_hex,
     degrees_dominate,
@@ -252,8 +251,7 @@ def test_c5_has_no_transitive_orientation():
 def test_k3_has_six():
     orientations = enumerate_transitive_orientations(complete_graph(3))
     assert len(orientations) == 6
-    assert all(o.transitive for o in orientations)
-    assert all(is_transitive(o.digraph) for o in orientations)
+    assert all(is_transitive(o) for o in orientations)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -266,14 +264,14 @@ def test_complete_graph_has_factorial_many(n):
 def test_edgeless_graph_single_empty_orientation():
     orientations = enumerate_transitive_orientations(empty_graph(4))
     assert len(orientations) == 1
-    assert orientations[0].digraph.arcs == frozenset()
+    assert orientations[0].arcs == frozenset()
 
 
 def test_enumerated_orientations_are_orientations_of_g():
     g = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
     for o in enumerate_transitive_orientations(g):
-        assert o.digraph.underlying_graph() == g
-        assert is_transitive(o.digraph)
+        assert o.underlying_graph() == g
+        assert is_transitive(o)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +307,14 @@ def test_induced_round_trip_and_sign_flips(n):
 def test_induced_rejects_non_tournament():
     f = Digraph(3, frozenset({(1, 2)}))
     f1 = Digraph(3, frozenset({(1, 3)}))
+    with pytest.raises(ValueError):
+        induced_permutation(f, f1)
+
+
+def test_induced_rejects_shared_arc():
+    # the union is a transitive tournament, but (1, 2) lies in both
+    f = Digraph(3, frozenset({(1, 2)}))
+    f1 = Digraph(3, frozenset({(1, 2), (1, 3), (2, 3)}))
     with pytest.raises(ValueError):
         induced_permutation(f, f1)
 

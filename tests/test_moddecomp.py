@@ -10,8 +10,10 @@ from geoposet.digraphs import (
     enumerate_transitive_orientations,
     from_perm,
     induced_permutation,
+    is_isomorphic,
+    reverse,
 )
-from geoposet.geoequiv import enumerate_classes
+from geoposet.geoequiv import class_members, enumerate_classes
 from geoposet.graphs import (
     Graph,
     complete_graph,
@@ -270,6 +272,19 @@ def test_class_size_formula_matches_enumeration(n):
             assert report.class_size == table.class_of(p).size, str(p)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_size_fields_match_digraph_route(n):
+    for p in all_permutations(n):
+        if not is_cograph(inversion_graph(p)):
+            continue
+        report = cograph_class_size(p)
+        d = from_perm(p)
+        key = canonical_key(d)
+        n_d = sum(1 for m in class_members(p) if canonical_key(from_perm(m)) == key)
+        assert report.n_d == n_d, str(p)
+        assert report.self_related == is_isomorphic(d, reverse(d)), str(p)
+
+
 def test_schroeder_counts_small():
     expected = {1: 1, 2: 2, 3: 6, 4: 22, 5: 90, 6: 394}
     for n, want in expected.items():
@@ -283,7 +298,7 @@ def test_swapping_isomorphic_children_fixes_induced_permutation():
     # orientations yield exactly three distinct permutations
     d = from_perm(parse("13254"))
     induced = {
-        str(induced_permutation(d, o.digraph))
+        str(induced_permutation(d, o))
         for o in enumerate_transitive_orientations(G_TWO_EDGES.complement())
     }
     assert induced == {"13254", "21354", "21435"}

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import geoposet
+from geoposet.digraphs import from_perm, reverse, spanning_embeds
 from geoposet.geoequiv import enumerate_classes
 from geoposet.perms import all_permutations, inverse, inversion_set, parse
 from geoposet.poset import (
@@ -237,6 +238,23 @@ def test_poset_equals_all_pairs_precedes(n):
     for i, low in enumerate(classes):
         row = sum(1 << j for j, high in enumerate(classes) if precedes(low, high))
         assert poset.leq[i] == row, low.label
+
+
+def test_precedes_matches_digraph_route():
+    # the Digraph route: equal keys, or a spanning embedding into D(target)
+    # or into D(target) reversed
+    classes = enumerate_classes(5).classes
+    assert len(classes) == 39
+    for low in classes:
+        d_low = from_perm(low.representative)
+        for high in classes:
+            d_high = from_perm(high.representative)
+            expected = (
+                low.key == high.key
+                or spanning_embeds(d_low, d_high) is not None
+                or spanning_embeds(d_low, reverse(d_high)) is not None
+            )
+            assert precedes(low, high) == expected, (low.label, high.label)
 
 
 def test_n7_order_is_bounded_and_not_graded():
