@@ -20,6 +20,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -31,6 +32,7 @@ from .perms import (
     OrientationClass,
     Permutation,
     inverse,
+    inverse_word,
     inversion_count,
     inversion_set,
     reverse,
@@ -255,13 +257,6 @@ class ClassTable:
         return buf.getvalue()
 
 
-def _inverse_word(w: tuple[int, ...]) -> tuple[int, ...]:
-    iw = [0] * len(w)
-    for k, v in enumerate(w):
-        iw[v - 1] = k + 1
-    return tuple(iw)
-
-
 def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     """rc(w⁻¹), the word of k ↦ n+1−w⁻¹(n+1−k): the reverse-complement of
     the inverse."""
@@ -270,11 +265,6 @@ def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     for k, v in enumerate(w):
         word[n - v] = n - k
     return tuple(word)
-
-
-def _keys_for_words(words: list[tuple[int, ...]]) -> list[CanonicalKey]:
-    """Worker: canonical keys for a chunk of words."""
-    return [_word_key(w) for w in words]
 
 
 def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
@@ -299,15 +289,12 @@ def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
     total = len(words)
     reps = [w for w in words if w <= _rc_inverse(w)]
     if workers <= 1 or total < 600:
-        keys = _keys_for_words(reps)
+        keys = [_word_key(w) for w in reps]
     else:
         import multiprocessing as mp
 
-        chunk = (len(reps) + workers * 4 - 1) // (workers * 4)
-        chunks = [reps[lo : lo + chunk] for lo in range(0, len(reps), chunk)]
         with mp.Pool(workers) as pool:
-            parts = pool.map(_keys_for_words, chunks)
-        keys = [k for part in parts for k in part]
+            keys = pool.map(_word_key, reps, chunksize=math.ceil(len(reps) / (4 * workers)))
 
     key_of = dict(zip(reps, keys))
     for w in words:
@@ -316,7 +303,7 @@ def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
 
     groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
     for w in words:
-        ck = min(key_of[w], key_of[_inverse_word(w)])
+        ck = min(key_of[w], key_of[inverse_word(w)])
         groups.setdefault(ck, []).append(w)
 
     raw = []

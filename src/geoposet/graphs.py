@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .perms import Pair, Permutation, inversion_set
+from .perms import Pair, Permutation, inversion_set, pair_masks
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,8 @@ class Graph:
 
     def adjacency_masks(self) -> list[int]:
         """masks[v - 1] has bit (w - 1) set when v and w are adjacent."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u - 1] |= 1 << (v - 1)
-            masks[v - 1] |= 1 << (u - 1)
-        return masks
+        out, inn = pair_masks(self.n, self.edges)
+        return [o | i for o, i in zip(out, inn)]
 
 
 def components_within(mask: int, adjacency: list[int]) -> list[int]:

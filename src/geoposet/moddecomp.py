@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .digraphs import enumerate_transitive_orientations
-from .geoequiv import _inverse_word, _word_key
+from .geoequiv import _word_key
 from .graphs import Graph, bits, components_within, inversion_graph
-from .perms import Permutation
+from .perms import Permutation, inverse_word
 # Not called here; perfbench/spans.py wraps these two names on this module.
 from .digraphs import canonical_key, from_perm  # noqa: F401
 
@@ -290,7 +290,7 @@ def cograph_class_size(p: Permutation) -> ClassSizeReport:
         for multiplicity in types.values():
             factor //= math.factorial(multiplicity)
         n_d *= factor
-    self_related = _word_key(w) == _word_key(_inverse_word(w))
+    self_related = _word_key(w) == _word_key(inverse_word(w))
     return ClassSizeReport(
         n_d=n_d,
         self_related=self_related,

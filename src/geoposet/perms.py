@@ -58,10 +58,7 @@ class Permutation:
 
     def positions(self) -> tuple[int, ...]:
         """positions()[v - 1] is the position at which value v sits."""
-        pos = [0] * len(self.word)
-        for k, v in enumerate(self.word, start=1):
-            pos[v - 1] = k
-        return tuple(pos)
+        return inverse_word(self.word)
 
     def __str__(self) -> str:
         if self.n <= 9:
@@ -99,6 +96,14 @@ def parse(text: str) -> Permutation:
             raise ValueError(f"malformed permutation text: {text!r}")
         values = tuple(int(ch) for ch in text)
     return Permutation(values)
+
+
+def inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The word of the inverse: entry v - 1 is the position of value v."""
+    inv = [0] * len(word)
+    for k, v in enumerate(word, start=1):
+        inv[v - 1] = k
+    return tuple(inv)
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -219,9 +224,7 @@ def word_masks(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
     bit j-1 of out[i-1] (and bit i-1 of in[j-1]) is set when (i, j) is an
     inversion."""
     n = len(word)
-    pos = [0] * n
-    for k, v in enumerate(word):
-        pos[v - 1] = k
+    pos = inverse_word(word)
     out = [0] * n
     inn = [0] * n
     for i in range(n):

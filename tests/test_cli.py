@@ -96,6 +96,18 @@ def test_cache_digest_mismatch_forces_recompute(tmp_path, monkeypatch):
     assert load_cached_table(3) is None
 
 
+def test_cache_schema_mismatch_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("GEOPOSET_CACHE_DIR", str(tmp_path / "c4"))
+    save_cached_table(enumerate_classes(3))
+    from geoposet.cli import CACHE_SCHEMA_VERSION, _cache_path
+
+    path = _cache_path(3)
+    entry = json.loads(path.read_text())
+    entry["schema_version"] = CACHE_SCHEMA_VERSION + 1  # the digest stays intact
+    path.write_text(json.dumps(entry))
+    assert load_cached_table(3) is None
+
+
 def test_cache_garbage_is_ignored(tmp_path, monkeypatch):
     monkeypatch.setenv("GEOPOSET_CACHE_DIR", str(tmp_path / "c3"))
     from geoposet.cli import _cache_path
@@ -200,6 +212,27 @@ def test_poset_chain_summary(capsys):
     assert "classes: 4" in out and "cover edges: 3" in out
 
 
+def test_poset_6_summary(capsys):
+    code, out, _ = run_cli(capsys, "poset", "6")
+    assert code == 0
+    assert out.splitlines() == [
+        "poset of geo-equivalence classes, n = 6",
+        "classes: 182",
+        "cover edges: 621",
+        "bounded: yes (first 0.1 = 123456, last 15.1 = 654321)",
+        "graded by inversion count: yes",
+        "note: gradedness beyond n = 5 is an experimental result of this tool",
+    ]
+
+
+def test_poset_7_lists_the_rank_skipping_covers(capsys):
+    code, out, _ = run_cli(capsys, "poset", "7")
+    assert code == 0
+    jumps = [line for line in out.splitlines() if " jumps " in line]
+    assert len(jumps) == 42
+    assert jumps[0] == "  cover 6.16 -> 8.69 jumps 6 -> 8"
+
+
 def test_poset_rejects_large_n(capsys):
     code, _, err = run_cli(capsys, "poset", "8")
     assert code == 2 and "error" in err
@@ -222,6 +255,34 @@ def test_verify_passes_and_writes_json(tmp_path, capsys):
         "geometry-crossings",
         "poset-structure",
     }
+
+
+VERIFY_5_STDOUT = [
+    "PASS inversion-round-trip: rebuilt 153 words from their inversion sets (n <= 5)",
+    "PASS symmetric-difference: action equals symmetric difference on 917 pairs",
+    "PASS inverse-pair-relation: inverse pair relation holds exhaustively (n <= 5)",
+    "PASS reverse-digraph: arc reversal matches the inverse digraph (n <= 5)",
+    "PASS key-relabeling: canonical keys are relabeling-invariant on 25 samples",
+    "PASS fast-vs-bruteforce: digraph and witness-search oracles agree on 767 pairs",
+    "PASS geometry-crossings: template crossings equal inversion sets for 153 words",
+    "PASS orientation-count: decomposition count matches enumeration on all of S_5",
+    "PASS cograph-class-sizes: closed-form class sizes match enumeration for 121 cograph words",
+    "PASS schroeder-count: cograph counts follow the large Schroeder numbers: [1, 2, 6, 22, 90]",
+    "PASS class-counts: class counts match the known sequence: [1, 2, 4, 12, 39]",
+    "PASS reference-table: reference classes matched exactly: 38; reference class 4.2: "
+    "listed word 15234 belongs elsewhere; enumeration puts 15243 in this class; "
+    "duplicated word 15234 enumerates into our class 3.2",
+    "PASS poset-structure: S_3 is a 4-chain; n=4 bounded, graded, extends Bruhat; "
+    "n=5 bounded, graded, extends Bruhat",
+    "PASS four-family: four-member families stay inside their class on 40 samples",
+    "verified 14 suites; ok = True",
+]
+
+
+def test_verify_5_stdout(capsys):
+    code, out, _ = run_cli(capsys, "verify", "5")
+    assert code == 0
+    assert out.splitlines() == VERIFY_5_STDOUT
 
 
 def test_verify_trivial_n1(capsys):

@@ -339,3 +339,66 @@ def test_extension_is_proper_at_n5():
 def test_extension_check_rejects_large_n():
     with pytest.raises(ValueError):
         bruhat_extension_check(7)
+
+
+def containment_scan(n, poset):
+    """The exhaustive oracle: every ordered pair of words with E(sigma)
+    within E(pi), or the same for the inverses, must compare."""
+    index = {m: k for k, c in enumerate(poset.table.classes) for m in c.members}
+    words = list(all_permutations(n))
+    left = {p: inversion_set(p).pairs for p in words}
+    right = {p: inversion_set(inverse(p)).pairs for p in words}
+    return all(
+        poset.is_leq(index[sigma], index[pi])
+        for sigma in words
+        for pi in words
+        if left[sigma] <= left[pi] or right[sigma] <= right[pi]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cover_closure_is_containment(n, side):
+    def inversions(p):
+        return inversion_set(p if side == "left" else inverse(p)).pairs
+
+    words = sorted(all_permutations(n), key=lambda p: -len(inversion_set(p)))
+    up = {}
+    for p in words:  # every cover has one more inversion, so it comes first
+        up[p] = {p}.union(*(up[q] for q in bruhat_covers(p, side)))
+    for p in words:
+        assert up[p] == {q for q in words if inversions(p) <= inversions(q)}, p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_extension_check_agrees_with_containment_scan(n):
+    poset = build_poset(n)
+    assert bruhat_extension_check(n, poset) == (True, ())
+    assert containment_scan(n, poset)
+
+
+def test_extension_check_catches_a_cleared_cover():
+    poset = build_poset(4)
+    assert poset.table.labels[:2] == ("0.1", "1.1")
+    leq = list(poset.leq)
+    leq[0] &= ~(1 << 1)
+    broken = Poset(poset.table, tuple(leq))
+    for row in leq:  # 0.1 -> 1.1 is a cover, so the rest stays transitive
+        closure = row
+        for k in range(len(leq)):
+            if row >> k & 1:
+                closure |= leq[k]
+        assert closure == row
+    ok, failures = bruhat_extension_check(4, broken)
+    assert not ok and not containment_scan(4, broken)
+    assert ("1234", "2134") in failures
+    assert len(set(failures)) == len(failures)
+
+
+def test_bruhat_below_is_containment_on_s4():
+    words = list(all_permutations(4))
+    for sigma in words:
+        for pi in words:
+            left = inversion_set(sigma).pairs <= inversion_set(pi).pairs
+            right = inversion_set(inverse(sigma)).pairs <= inversion_set(inverse(pi)).pairs
+            assert bruhat_below(sigma, pi) == (left or right), (sigma, pi)
