@@ -2,8 +2,8 @@
 and the one-shot verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Output for
-identical inputs is byte-identical regardless of worker count or cache
-state.
+identical inputs is byte-identical whether or not the library runs a worker
+pool, and whatever the cache state.
 """
 
 from __future__ import annotations
@@ -92,26 +92,18 @@ def load_cached_table(n: int) -> Optional[ClassTable]:
         return None
 
 
-def _obtain_table(n: int, use_cache: bool, workers: int) -> ClassTable:
+def _obtain_table(n: int, use_cache: bool) -> ClassTable:
     if use_cache:
         cached = load_cached_table(n)
         if cached is not None:
             return cached
-    table = enumerate_classes(n, workers=workers)
+    table = enumerate_classes(n, workers=os.cpu_count() or 1)
     if use_cache:
         try:
             save_cached_table(table)
         except OSError as exc:
             print(f"warning: could not write cache: {exc}", file=sys.stderr)
     return table
-
-
-def _resolve_workers(threads: int) -> int:
-    if threads < 0:
-        raise UsageError("--threads must be >= 0")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +140,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"n = {n} scans all {math.factorial(n)} words of S_{n}; "
             "pass --allow-long to run it anyway"
         )
-    table = _obtain_table(n, use_cache=not args.no_cache, workers=_resolve_workers(args.threads))
+    table = _obtain_table(n, use_cache=not args.no_cache)
     if args.format == "json":
         print(table.to_json())
     elif args.format == "csv":
@@ -191,9 +183,8 @@ def cmd_poset(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= POSET_MAX_N:
         raise UsageError(f"poset construction supports 1 <= n <= {POSET_MAX_N}")
-    workers = _resolve_workers(args.threads)
-    table = _obtain_table(n, use_cache=not args.no_cache, workers=workers)
-    poset = build_poset(table, workers=workers)
+    table = _obtain_table(n, use_cache=not args.no_cache)
+    poset = build_poset(table, workers=os.cpu_count() or 1)
     diagram = hasse(poset)
     first, last = poset.bounds()
     graded, witnesses = is_graded(poset)
@@ -238,8 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
     if not 1 <= n_max <= VERIFY_MAX_N:
         raise UsageError(f"verify supports 1 <= N_MAX <= {VERIFY_MAX_N}")
-    workers = _resolve_workers(args.threads)
-    results = run_verification(n_max, workers=workers)
+    results = run_verification(n_max)
     for suite in results["suites"]:
         status = "PASS" if suite["ok"] else "FAIL"
         print(f"{status} {suite['name']}: {suite['detail']}")
@@ -269,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("n", type=int)
     p_enum.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_enum.add_argument("--no-cache", action="store_true")
-    p_enum.add_argument("--threads", type=int, default=1, help="0 = auto")
     p_enum.add_argument("--allow-long", action="store_true")
     p_enum.set_defaults(func=cmd_enumerate)
 
@@ -282,13 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pos.add_argument("--dot", metavar="PATH")
     p_pos.add_argument("--json", metavar="PATH")
     p_pos.add_argument("--no-cache", action="store_true")
-    p_pos.add_argument("--threads", type=int, default=1, help="0 = auto")
     p_pos.set_defaults(func=cmd_poset)
 
     p_ver = sub.add_parser("verify", help="run the cross-module property suites")
     p_ver.add_argument("n_max", type=int, nargs="?", default=4)
     p_ver.add_argument("--json", metavar="PATH")
-    p_ver.add_argument("--threads", type=int, default=1, help="0 = auto")
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -267,6 +267,11 @@ def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(word)
 
 
+# Below this many words a worker pool costs more than it saves: on 2 CPUs it
+# loses at n = 8 (40 320 words) and wins at n = 9 (362 880).
+POOL_MIN_WORDS = 100_000
+
+
 def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
     """Partition all of S_n into geo-equivalence classes.
 
@@ -276,8 +281,9 @@ def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
     lexicographically smaller word of each orbit is keyed, and its key is
     stored under both words; at n = 8 that is 20 542 keys for 40 320 words.
 
-    ``workers`` > 1 spreads the keys over processes, in chunks of orbit
-    representatives; the output is byte-identical for any worker count.
+    ``workers`` > 1 caps a pool that keys chunks of orbit representatives,
+    from ``POOL_MIN_WORDS`` words on (n = 9); the default 1 starts no
+    process, and the output is byte-identical either way.
     Refuses n outside 1..9: the scan is exact and the factorial growth makes
     larger n a different project.
     """
@@ -288,7 +294,7 @@ def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
     words = list(itertools.permutations(range(1, n + 1)))
     total = len(words)
     reps = [w for w in words if w <= _rc_inverse(w)]
-    if workers <= 1 or total < 600:
+    if workers <= 1 or total < POOL_MIN_WORDS:
         keys = [_word_key(w) for w in reps]
     else:
         import multiprocessing as mp

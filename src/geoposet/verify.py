@@ -58,7 +58,7 @@ def _random_word(rng: random.Random, n: int) -> Permutation:
     return Permutation(tuple(word))
 
 
-def _suite_inversion_round_trip(n_max: int, workers: int, rng: random.Random):
+def _suite_inversion_round_trip(n_max: int, rng: random.Random):
     top = min(n_max, 5)
     count = 0
     for n in range(1, top + 1):
@@ -69,7 +69,7 @@ def _suite_inversion_round_trip(n_max: int, workers: int, rng: random.Random):
     return True, f"rebuilt {count} words from their inversion sets (n <= {top})"
 
 
-def _suite_symmetric_difference(n_max: int, workers: int, rng: random.Random):
+def _suite_symmetric_difference(n_max: int, rng: random.Random):
     checked = 0
     for n in range(1, min(n_max, 4) + 1):
         for rho in all_permutations(n):
@@ -86,7 +86,7 @@ def _suite_symmetric_difference(n_max: int, workers: int, rng: random.Random):
     return True, f"action equals symmetric difference on {checked} pairs"
 
 
-def _suite_inverse_relation(n_max: int, workers: int, rng: random.Random):
+def _suite_inverse_relation(n_max: int, rng: random.Random):
     top = min(n_max, 5)
     for n in range(1, top + 1):
         for p in all_permutations(n):
@@ -97,7 +97,7 @@ def _suite_inverse_relation(n_max: int, workers: int, rng: random.Random):
     return True, f"inverse pair relation holds exhaustively (n <= {top})"
 
 
-def _suite_reverse_digraph(n_max: int, workers: int, rng: random.Random):
+def _suite_reverse_digraph(n_max: int, rng: random.Random):
     top = min(n_max, 5)
     for n in range(1, top + 1):
         for p in all_permutations(n):
@@ -108,7 +108,7 @@ def _suite_reverse_digraph(n_max: int, workers: int, rng: random.Random):
     return True, f"arc reversal matches the inverse digraph (n <= {top})"
 
 
-def _suite_key_relabeling(n_max: int, workers: int, rng: random.Random):
+def _suite_key_relabeling(n_max: int, rng: random.Random):
     for _ in range(25):
         n = rng.randint(2, 6)
         p = _random_word(rng, n)
@@ -122,7 +122,7 @@ def _suite_key_relabeling(n_max: int, workers: int, rng: random.Random):
     return True, "canonical keys are relabeling-invariant on 25 samples"
 
 
-def _suite_fast_vs_bruteforce(n_max: int, workers: int, rng: random.Random):
+def _suite_fast_vs_bruteforce(n_max: int, rng: random.Random):
     checked = 0
     for n in range(1, min(n_max, 4) + 1):
         perms = list(all_permutations(n))
@@ -146,7 +146,7 @@ def _suite_fast_vs_bruteforce(n_max: int, workers: int, rng: random.Random):
     return True, f"digraph and witness-search oracles agree on {checked} pairs"
 
 
-def _suite_geometry(n_max: int, workers: int, rng: random.Random):
+def _suite_geometry(n_max: int, rng: random.Random):
     top = min(n_max, 5)
     count = 0
     for n in range(1, top + 1):
@@ -157,7 +157,7 @@ def _suite_geometry(n_max: int, workers: int, rng: random.Random):
     return True, f"template crossings equal inversion sets for {count} words"
 
 
-def _suite_orientation_count(n_max: int, workers: int, rng: random.Random):
+def _suite_orientation_count(n_max: int, rng: random.Random):
     top = min(n_max, 5)
     for p in all_permutations(top):
         g = inversion_graph(p)
@@ -174,11 +174,11 @@ def _suite_orientation_count(n_max: int, workers: int, rng: random.Random):
     return True, f"decomposition count matches enumeration on all of S_{top}"
 
 
-def _suite_cograph_sizes(n_max: int, workers: int, rng: random.Random):
+def _suite_cograph_sizes(n_max: int, rng: random.Random):
     top = min(n_max, 6)
     checked = 0
     for n in range(1, top + 1):
-        table = enumerate_classes(n, workers=workers)
+        table = enumerate_classes(n)
         for p in all_permutations(n):
             if is_cograph(inversion_graph(p)):
                 if cograph_class_size(p).class_size != table.class_of(p).size:
@@ -187,7 +187,7 @@ def _suite_cograph_sizes(n_max: int, workers: int, rng: random.Random):
     return True, f"closed-form class sizes match enumeration for {checked} cograph words"
 
 
-def _suite_schroeder(n_max: int, workers: int, rng: random.Random):
+def _suite_schroeder(n_max: int, rng: random.Random):
     top = min(n_max, 6)
     got = []
     for n in range(1, top + 1):
@@ -200,27 +200,25 @@ def _suite_schroeder(n_max: int, workers: int, rng: random.Random):
     return True, f"cograph counts follow the large Schroeder numbers: {got}"
 
 
-def _suite_class_counts(n_max: int, workers: int, rng: random.Random):
+def _suite_class_counts(n_max: int, rng: random.Random):
     got = {}
     for n in range(1, n_max + 1):
-        got[n] = enumerate_classes(n, workers=workers).count
+        got[n] = enumerate_classes(n).count
         if got[n] != CLASS_COUNTS[n]:
             return False, f"class count at n={n}: {got[n]} != {CLASS_COUNTS[n]}"
     return True, f"class counts match the known sequence: {list(got.values())}"
 
 
-def _suite_reference_table(n_max: int, workers: int, rng: random.Random):
+def _suite_reference_table(n_max: int, rng: random.Random):
     if n_max < 5:
         return True, "skipped (needs n_max >= 5)"
-    report = compare_with_reference(
-        enumerate_classes(5, workers=workers), load_s5_reference()
-    )
+    report = compare_with_reference(enumerate_classes(5), load_s5_reference())
     if not report.ok:
         return False, report.describe()
     return True, report.describe().replace("\n", "; ")
 
 
-def _suite_poset(n_max: int, workers: int, rng: random.Random):
+def _suite_poset(n_max: int, rng: random.Random):
     poset3 = build_poset(3)
     chain = all(
         poset3.is_leq(i, j) == (i <= j) for i in range(4) for j in range(4)
@@ -229,7 +227,7 @@ def _suite_poset(n_max: int, workers: int, rng: random.Random):
         return False, "the order on the classes of S_3 is not the expected chain"
     details = ["S_3 is a 4-chain"]
     for n in range(4, min(n_max, 5) + 1):
-        poset = build_poset(n, workers=workers)
+        poset = build_poset(n)
         if not poset.is_bounded():
             return False, f"poset for n={n} is not bounded"
         graded, witnesses = is_graded(poset)
@@ -242,7 +240,7 @@ def _suite_poset(n_max: int, workers: int, rng: random.Random):
     return True, "; ".join(details)
 
 
-def _suite_four_family(n_max: int, workers: int, rng: random.Random):
+def _suite_four_family(n_max: int, rng: random.Random):
     for _ in range(40):
         n = rng.randint(1, 7)
         p = _random_word(rng, n)
@@ -271,12 +269,12 @@ _SUITES: list[tuple[str, Callable]] = [
 ]
 
 
-def run_verification(n_max: int, workers: int = 1) -> dict:
+def run_verification(n_max: int) -> dict:
     results = []
     ok = True
     for name, fn in _SUITES:
         rng = random.Random(f"geoposet:{name}:{n_max}")
-        passed, detail = fn(n_max, workers, rng)
+        passed, detail = fn(n_max, rng)
         ok &= passed
         results.append({"name": name, "ok": passed, "detail": detail})
     return {"schema_version": 1, "n_max": n_max, "ok": ok, "suites": results}

@@ -251,8 +251,9 @@ def test_class_of_rejects_non_members():
     assert excinfo.value.args[0] == "12345 is not a member of any class (n mismatch?)"
 
 
-def test_enumerate_worker_count_does_not_change_output():
-    # n = 6 is above the parallel threshold, so the pool really runs
+def test_enumerate_worker_count_does_not_change_output(monkeypatch):
+    # n = 6 is below the pool threshold; lower it so the pool really runs
+    monkeypatch.setattr(geoequiv, "POOL_MIN_WORDS", 0)
     serial = enumerate_classes(6, workers=1).to_json()
     parallel = enumerate_classes(6, workers=2).to_json()
     assert serial == parallel

@@ -182,9 +182,11 @@ def test_poset_json_matrix():
     assert obj["leq"][3] == [0, 0, 0, 1]
 
 
-def test_poset_worker_count_invariance():
+def test_poset_worker_count_invariance(monkeypatch):
     import json
 
+    # n = 6 is below the pool threshold; lower it so the pool really runs
+    monkeypatch.setattr("geoposet.poset.POOL_MIN_CLASSES", 0)
     table = enumerate_classes(6)
     serial = build_poset(table, workers=1).to_json()
     parallel = build_poset(table, workers=2).to_json()
@@ -192,10 +194,22 @@ def test_poset_worker_count_invariance():
     assert json.loads(serial)["n"] == 6
 
 
+def test_no_pool_below_the_thresholds(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    table = enumerate_classes(6, workers=2)
+    assert build_poset(table, workers=2).size == 182
+
+
 SPAWNED_POOLS = """
 import multiprocessing as mp
 import multiprocessing.popen_fork
 
+from geoposet import geoequiv, poset
 from geoposet.geoequiv import enumerate_classes
 from geoposet.poset import build_poset
 
@@ -208,6 +222,8 @@ if __name__ == "__main__":
     mp.set_start_method("spawn")
     # the spawn Popen overrides _launch; only a forking pool reaches this
     multiprocessing.popen_fork.Popen._launch = no_fork
+    # n = 6 is below both pool thresholds; lower them so the pools really run
+    geoequiv.POOL_MIN_WORDS = poset.POOL_MIN_CLASSES = 0
     table = enumerate_classes(6, workers=1)
     assert enumerate_classes(6, workers=2).to_json() == table.to_json()
     assert build_poset(table, workers=2).to_json() == build_poset(table, workers=1).to_json()
