@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 from .geoequiv import ENUMERATION_MAX_N, ClassTable, class_members, enumerate_classes
 from .graphs import inversion_graph
@@ -75,20 +76,22 @@ def save_cached_table(table: ClassTable) -> None:
 
 
 def load_cached_table(n: int) -> Optional[ClassTable]:
-    """A cached table, or None when absent, stale, or corrupted."""
+    """A cached table, or None when absent, stale, corrupted, or of another n."""
     path = _cache_path(n)
     try:
         entry = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if entry.get("schema_version") != CACHE_SCHEMA_VERSION:
+    if not isinstance(entry, dict) or entry.get("schema_version") != CACHE_SCHEMA_VERSION:
         return None
     payload = entry.get("table")
     if not isinstance(payload, dict) or entry.get("digest") != _digest(payload):
         return None
+    if payload.get("n") != n:
+        return None
     try:
         return ClassTable.from_json_obj(payload)
-    except (KeyError, ValueError):
+    except (KeyError, TypeError, ValueError):
         return None
 
 
@@ -108,6 +111,15 @@ def _obtain_table(n: int, use_cache: bool) -> ClassTable:
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+def _write_json(obj: object, fh: TextIO) -> None:
+    """``json.dumps(obj, indent=2)`` plus a newline, written in batches of
+    encoder chunks: never one string, nor one slow write per chunk."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        fh.write(batch)
+    fh.write("\n")
 
 
 def _format_table(table: ClassTable) -> str:
@@ -142,7 +154,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     table = _obtain_table(n, use_cache=not args.no_cache)
     if args.format == "json":
-        print(table.to_json())
+        _write_json(table.to_json_obj(), sys.stdout)
     elif args.format == "csv":
         print(table.to_csv(), end="")
     else:
@@ -218,7 +230,8 @@ def cmd_poset(args: argparse.Namespace) -> int:
             "poset": poset.to_json_obj(),
             "hasse": diagram.to_json_obj(),
         }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        with open(args.json, "w") as fh:
+            _write_json(payload, fh)
         print(f"wrote JSON to {args.json}")
     return 0
 
@@ -235,7 +248,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"{status} {suite['name']}: {suite['detail']}")
     print(f"verified {len(results['suites'])} suites; ok = {results['ok']}")
     if args.json:
-        Path(args.json).write_text(json.dumps(results, indent=2) + "\n")
+        with open(args.json, "w") as fh:
+            _write_json(results, fh)
         print(f"wrote JSON to {args.json}")
     return 0 if results["ok"] else 1
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, is_closed
 from .perms import Pair, Permutation, inversion_set, pair_masks, word_from_masks
 # Not called here; perfbench/spans.py wraps this name on this module.
 from .perms import perm_from_inversion_set  # noqa: F401
@@ -367,25 +367,13 @@ def spanning_embeds(dsmall: Digraph, dbig: Digraph) -> Optional[dict[int, int]]:
 # transitive orientations
 
 
-def _closed(out: list[int]) -> bool:
-    """Transitivity on out-masks: whatever u reaches in two steps, u reaches
-    in one."""
-    for m in out:
-        reach = 0
-        for v in bits(m):
-            reach |= out[v]
-        if reach & ~m:
-            return False
-    return True
-
-
 def is_transitive(d: Digraph) -> bool:
     """(u, v) and (v, w) present forces (u, w) present.
 
     A two-step walk back to u itself would demand a self-loop, so digraphs
     containing a 2-cycle are never transitive.
     """
-    return _closed(d.masks()[0])
+    return is_closed(d.masks()[0])
 
 
 def enumerate_transitive_orientations(g: Graph) -> list[Digraph]:
@@ -458,7 +446,7 @@ def induced_permutation(f: Digraph, f1: Digraph) -> Permutation:
     n = f.n
     out, inn = f.masks()
     out1, inn1 = f1.masks()
-    if not _closed(out) or not _closed(out1):
+    if not is_closed(out) or not is_closed(out1):
         raise ValueError("both orientations must be transitive")
     for v in range(n):
         around = (out[v], out1[v], inn[v], inn1[v])
@@ -466,7 +454,7 @@ def induced_permutation(f: Digraph, f1: Digraph) -> Permutation:
         if reached.bit_count() != n - 1 or sum(m.bit_count() for m in around) != n - 1:
             raise ValueError("orientations do not assemble into a tournament")
     union = [a | b for a, b in zip(out, out1)]
-    if not _closed(union):
+    if not is_closed(union):
         raise ValueError("assembled tournament is not transitive")
     rank = [n - 1 - m.bit_count() for m in union]
     ranked_out = [0] * n

@@ -302,10 +302,10 @@ def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
         with mp.Pool(workers) as pool:
             keys = pool.map(_word_key, reps, chunksize=math.ceil(len(reps) / (4 * workers)))
 
-    key_of = dict(zip(reps, keys))
-    for w in words:
-        if w not in key_of:
-            key_of[w] = key_of[_rc_inverse(w)]
+    # The keys stay the tuples of ``words``; rc-inverse words are only looked up.
+    key_of = dict.fromkeys(words)
+    for w, k in zip(reps, keys):
+        key_of[w] = key_of[_rc_inverse(w)] = k
 
     groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
     for w in words:

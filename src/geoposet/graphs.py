@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .perms import Pair, Permutation, inversion_set, pair_masks
 
@@ -58,18 +58,10 @@ def components_within(mask: int, adjacency: list[int]) -> list[int]:
     remaining = mask
     comps = []
     while remaining:
-        seed = remaining & -remaining
-        comp = 0
-        frontier = seed
+        comp = frontier = remaining & -remaining
         while frontier:
+            frontier = successors(adjacency, frontier) & mask & ~comp
             comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= adjacency[v] & mask
-            frontier = nxt & ~comp
         comps.append(comp)
         remaining &= ~comp
     return comps
@@ -81,6 +73,20 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def successors(rows: Sequence[int], mask: int) -> int:
+    """The union of the out-masks of the vertices in ``mask``."""
+    reach = 0
+    for v in bits(mask):
+        reach |= rows[v]
+    return reach
+
+
+def is_closed(rows: Sequence[int]) -> bool:
+    """Transitivity on out-masks: whatever u reaches in two steps, u reaches
+    in one."""
+    return all(not successors(rows, m) & ~m for m in rows)
 
 
 def inversion_graph(p: Permutation) -> Graph:

@@ -135,33 +135,24 @@ def _module_closure(u: int, v: int, mset: int, adjacency: list[int]) -> int:
 def _prime_children(mset: int, adjacency: list[int]) -> list[int]:
     """Maximal proper modules of a connected, co-connected induced subgraph.
 
-    These are pairwise disjoint; each is the union of the overlapping
-    pair closures through any one of its vertices.
+    Under a prime node the maximal strong modules partition the vertices,
+    and the only module meeting two of them is the whole set (Gallai 1967).
+    So the closure of a pair is proper exactly when both vertices share a
+    child, and the child of v is the union of v's proper pair closures.
     """
-    closures = set()
-    verts = list(bits(mset))
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            c = _module_closure(verts[a], verts[b], mset, adjacency)
-            if c != mset:
-                closures.add(c)
     children = []
-    assigned = 0
-    for v in verts:
-        if assigned >> v & 1:
-            continue
-        s = 1 << v
-        grew = True
-        while grew:
-            grew = False
-            for c in closures:
-                if c & s and c & ~s:
-                    s |= c
-                    grew = True
-        assert s != mset, "maximal proper modules must stay proper under a prime node"
-        children.append(s)
-        assigned |= s
-    assert assigned == mset
+    unassigned = mset
+    while unassigned:
+        v = (unassigned & -unassigned).bit_length() - 1
+        child = 1 << v
+        for w in bits(unassigned):
+            if not child >> w & 1:
+                closure = _module_closure(v, w, mset, adjacency)
+                if closure != mset:
+                    child |= closure
+        assert child != mset, "maximal proper modules must stay proper under a prime node"
+        children.append(child)
+        unassigned &= ~child
     return children
 
 
@@ -183,8 +174,7 @@ def decompose(g: Graph) -> MDTree:
             return MDNode(
                 vertices, NodeKind.DEGENERATE_1, tuple(build(c) for c in co_comps)
             )
-        parts = _prime_children(mset, adjacency)
-        parts.sort()
+        parts = sorted(_prime_children(mset, adjacency))
         return MDNode(vertices, NodeKind.PRIME, tuple(build(p) for p in parts))
 
     return MDTree(g, build(full))

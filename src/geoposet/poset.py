@@ -17,6 +17,11 @@ skipped, and a successful embedding ORs in the target's whole row, since
 embeddings compose.  ``mask_embedding`` rejects a pair whose sorted degree
 sequences are not dominated pointwise before it searches at all.
 
+Classes are indexed in ascending inversion count, and row i ORs in only rows
+of higher levels, so every row is upper-triangular: it has bit i set and no
+bit below i.  That one invariant gives reflexivity and antisymmetry;
+``build_poset`` checks it, and transitivity, before returning.
+
 The weak Bruhat orders (containment of inversion sets, either of the word
 or of its inverse) induce a suborder: every Bruhat containment yields
 precedence, but not conversely.  ``bruhat_extension_check`` verifies the
@@ -34,7 +39,7 @@ from typing import Literal, Optional
 
 from .digraphs import MaskDigraph, mask_embedding
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
-from .graphs import bits
+from .graphs import bits, is_closed, successors
 from .perms import Permutation, all_permutations, inverse, inverse_word, word_masks
 # Not called here; perfbench/spans.py wraps these names on this module.
 from .digraphs import from_perm, spanning_embeds  # noqa: F401
@@ -62,7 +67,7 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
         return True
     if c_sigma.inversions >= c_pi.inversions:
         return False
-    source = _shapes(c_sigma.representative)[0]
+    source = MaskDigraph.from_masks(*word_masks(c_sigma.representative.word))
     target, flipped = _shapes(c_pi.representative)
     return (
         mask_embedding(source, target) is not None
@@ -96,13 +101,9 @@ class Poset:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Sorted (lower, upper) index pairs of the transitive reduction."""
         strict = [row & ~(1 << i) for i, row in enumerate(self.leq)]
-        edges = []
-        for i, row in enumerate(strict):
-            above = 0
-            for k in bits(row):
-                above |= strict[k]
-            edges.extend((i, j) for j in bits(row & ~above))
-        return tuple(edges)
+        return tuple(
+            (i, j) for i, row in enumerate(strict) for j in bits(row & ~successors(strict, row))
+        )
 
     def bounds(self) -> tuple[Optional[GeoClass], Optional[GeoClass]]:
         """The first and last elements, when they exist."""
@@ -146,8 +147,8 @@ def build_poset(source: "int | ClassTable", workers: int = 1) -> Poset:
     inversion level at a time, top down; ``workers`` > 1 caps a pool that
     spreads each level, from ``POOL_MIN_CLASSES`` classes on (n = 7).  The
     default 1 starts no process, and the result is the same either way.
-    Transitivity and antisymmetry of the computed relation are verified
-    before returning.
+    The rows are verified upper-triangular with a full diagonal (hence
+    reflexive and antisymmetric) and transitive before returning.
     """
     table = enumerate_classes(source) if isinstance(source, int) else source
     classes = table.classes
@@ -171,24 +172,10 @@ def build_poset(source: "int | ClassTable", workers: int = 1) -> Poset:
         for start, stop in levels:
             rows[start:stop] = _rows(range(start, stop), stop, shapes, rows)
     leq = tuple(rows)
-
-    for i in range(size):
-        above = leq[i] & ~(1 << i)
-        while above:
-            low = above & -above
-            if leq[low.bit_length() - 1] >> i & 1:
-                raise AssertionError("relation is not antisymmetric")
-            above ^= low
-    for i in range(size):
-        reach = leq[i]
-        combined = reach
-        j = reach
-        while j:
-            low = j & -j
-            combined |= leq[low.bit_length() - 1]
-            j ^= low
-        if combined != reach:
-            raise AssertionError("relation is not transitive")
+    if any(row & ((2 << i) - 1) != 1 << i for i, row in enumerate(leq)):
+        raise AssertionError("relation is not reflexive and upper-triangular")
+    if not is_closed(leq):
+        raise AssertionError("relation is not transitive")
     return Poset(table, leq)
 
 

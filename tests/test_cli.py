@@ -133,6 +133,43 @@ def test_cache_garbage_is_ignored(tmp_path, monkeypatch):
     assert load_cached_table(3) is None
 
 
+def test_cache_entry_that_is_not_an_object_is_a_miss(capsys):
+    from geoposet.cli import _cache_path
+
+    path = _cache_path(4)
+    path.parent.mkdir(parents=True)
+    path.write_text("[]")
+    assert load_cached_table(4) is None
+    code, out, _ = run_cli(capsys, "enumerate", "4")
+    assert code == 0 and out.endswith("total classes: 12\n")
+
+
+def test_cache_entry_of_another_n_is_a_miss(capsys):
+    from geoposet.cli import _cache_path
+
+    save_cached_table(enumerate_classes(5))
+    _cache_path(5).replace(_cache_path(6))
+    assert load_cached_table(6) is None
+    code, out, _ = run_cli(capsys, "poset", "6")
+    assert code == 0 and "classes: 182\n" in out
+
+
+def test_cache_payload_of_the_wrong_shape_is_a_miss():
+    from geoposet.cli import CACHE_SCHEMA_VERSION, _cache_path, _digest
+
+    payload = {"n": 3, "classes": 5}  # iterating the classes raises TypeError
+    entry = {
+        "schema_version": CACHE_SCHEMA_VERSION,
+        "n": 3,
+        "digest": _digest(payload),
+        "table": payload,
+    }
+    path = _cache_path(3)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(entry))
+    assert load_cached_table(3) is None
+
+
 def test_concurrent_saves_all_succeed(isolated_cache):
     table = enumerate_classes(5)
     writers = 4

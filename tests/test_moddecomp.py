@@ -1,8 +1,11 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoposet.digraphs import (
     Digraph,
@@ -16,6 +19,7 @@ from geoposet.digraphs import (
 from geoposet.geoequiv import class_members, enumerate_classes
 from geoposet.graphs import (
     Graph,
+    bits,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -33,6 +37,7 @@ from geoposet.moddecomp import (
     is_module,
     prime_unique_orientability_check,
     quotient_graph,
+    _module_closure,
 )
 from geoposet.perms import all_permutations, identity, parse
 
@@ -143,6 +148,62 @@ def test_children_are_strong_modules():
                 assert not union & child.vertices
                 union |= child.vertices
             assert union == node.vertices
+
+
+def closure_growth_children(mset, adjacency):
+    """The prime split by its definition: every proper pair closure, grown
+    by overlap into the maximal proper modules."""
+    closures = set()
+    verts = list(bits(mset))
+    for a in range(len(verts)):
+        for b in range(a + 1, len(verts)):
+            c = _module_closure(verts[a], verts[b], mset, adjacency)
+            if c != mset:
+                closures.add(c)
+    children = []
+    assigned = 0
+    for v in verts:
+        if assigned >> v & 1:
+            continue
+        s = 1 << v
+        grew = True
+        while grew:
+            grew = False
+            for c in closures:
+                if c & s and c & ~s:
+                    s |= c
+                    grew = True
+        assert s != mset
+        children.append(s)
+        assigned |= s
+    assert assigned == mset
+    return children
+
+
+def assert_same_tree_as_closure_growth(g):
+    tree = decompose(g).to_json_obj()
+    with mock.patch("geoposet.moddecomp._prime_children", closure_growth_children):
+        assert tree == decompose(g).to_json_obj()
+
+
+def test_prime_split_matches_closure_growth_on_inversion_graphs():
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            assert_same_tree_as_closure_growth(inversion_graph(p))
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_prime_split_matches_closure_growth_on_random_graphs(g):
+    assert_same_tree_as_closure_growth(g)
 
 
 def test_tree_serialization():

@@ -8,6 +8,7 @@ import pytest
 import geoposet
 from geoposet.digraphs import from_perm, reverse, spanning_embeds
 from geoposet.geoequiv import enumerate_classes
+from geoposet.graphs import is_closed
 from geoposet.perms import all_permutations, inverse, inversion_set, parse
 from geoposet.poset import (
     Poset,
@@ -180,6 +181,35 @@ def test_poset_json_matrix():
     obj = poset.to_json_obj()
     assert obj["leq"][0] == [1, 1, 1, 1]
     assert obj["leq"][3] == [0, 0, 0, 1]
+
+
+def corrupted_rows(table, fault):
+    rows = list(build_poset(table).leq)
+    if fault == "bit below the diagonal":
+        # two classes of one level made to precede each other, then closed
+        counts = [c.inversions for c in table.classes]
+        i = next(k for k in range(len(counts)) if counts[k] == counts[k + 1])
+        pair = (1 << i) | (1 << i + 1)
+        both = rows[i] | rows[i + 1]
+        rows = [r | both if r & pair else r for r in rows]
+    elif fault == "no diagonal bit":
+        rows[0] &= ~1
+    else:
+        rows[0] &= ~(1 << (len(rows) - 1))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "fault", ["bit below the diagonal", "no diagonal bit", "missing transitive bit"]
+)
+def test_build_poset_self_checks_fire(monkeypatch, fault):
+    table = enumerate_classes(4)
+    rows = corrupted_rows(table, fault)
+    # each fault trips exactly one of the two checks
+    assert is_closed(rows) == (fault != "missing transitive bit")
+    monkeypatch.setattr("geoposet.poset._rows", lambda indices, *_: [rows[i] for i in indices])
+    with pytest.raises(AssertionError):
+        build_poset(table)
 
 
 def test_poset_worker_count_invariance(monkeypatch):
