@@ -196,7 +196,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
     if not 1 <= n <= POSET_MAX_N:
         raise UsageError(f"poset construction supports 1 <= n <= {POSET_MAX_N}")
     table = _obtain_table(n, use_cache=not args.no_cache)
-    poset = build_poset(table, workers=os.cpu_count() or 1)
+    poset = build_poset(table)
     diagram = hasse(poset)
     first, last = poset.bounds()
     graded, witnesses = is_graded(poset)

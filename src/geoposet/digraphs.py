@@ -19,6 +19,7 @@ orientations of complementary graphs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -248,8 +249,8 @@ class MaskDigraph(NamedTuple):
     inn: tuple[int, ...]
     odeg: tuple[int, ...]
     ideg: tuple[int, ...]
-    odesc: tuple[int, ...]  # out-degrees, descending
-    idesc: tuple[int, ...]  # in-degrees, descending
+    # (out-degree, in-degree) of every vertex, descending: the matching test
+    pairs: tuple[tuple[int, int], ...]
     order: tuple[int, ...]  # search order: decreasing total degree, then index
     # at_least[a * n + b]: the vertices with out-degree >= a and in-degree >= b
     at_least: tuple[int, ...]
@@ -270,8 +271,7 @@ class MaskDigraph(NamedTuple):
             tuple(inn),
             odeg,
             ideg,
-            tuple(sorted(odeg, reverse=True)),
-            tuple(sorted(ideg, reverse=True)),
+            tuple(sorted(zip(odeg, ideg), reverse=True)),
             tuple(order),
             tuple(at_least),
         )
@@ -284,8 +284,7 @@ class MaskDigraph(NamedTuple):
             inn=self.out,
             odeg=self.ideg,
             ideg=self.odeg,
-            odesc=self.idesc,
-            idesc=self.odesc,
+            pairs=tuple(sorted(((b, a) for a, b in self.pairs), reverse=True)),
             at_least=tuple(self.at_least[b * n + a] for a in range(n) for b in range(n)),
         )
 
@@ -294,12 +293,27 @@ def degrees_dominate(small: MaskDigraph, big: MaskDigraph) -> bool:
     """Necessary condition for a spanning embedding of small into big.
 
     An embedding sends each vertex to a distinct one with at least its out-
-    and in-degree, so the k-th largest out-degree (and in-degree) of big
-    must be at least that of small, for every k.
+    and in-degree; this decides exactly whether such a degree matching
+    exists (a bipartite matching, Hall 1935).  Small's pairs are taken in
+    descending order.  Before each, every vertex of big whose out-degree
+    reaches the current out-demand joins a pool; out-demands only fall, so
+    a vertex once admitted stays admissible for every later demand.  The
+    demand then takes the pooled vertex with the least sufficient in-degree:
+    any later demand that one serves, a larger in-degree serves too, so the
+    greedy choice never loses a matching.
     """
-    return all(map(int.__ge__, big.odesc, small.odesc)) and all(
-        map(int.__ge__, big.idesc, small.idesc)
-    )
+    targets = big.pairs
+    pool: list[int] = []
+    k = 0
+    for out_need, in_need in small.pairs:
+        while k < len(targets) and targets[k][0] >= out_need:
+            insort(pool, targets[k][1])
+            k += 1
+        at = bisect_left(pool, in_need)
+        if at == len(pool):
+            return False
+        del pool[at]
+    return True
 
 
 def mask_embedding(small: MaskDigraph, big: MaskDigraph) -> Optional[list[int]]:
@@ -309,7 +323,7 @@ def mask_embedding(small: MaskDigraph, big: MaskDigraph) -> Optional[list[int]]:
     Backtracking over the vertices of small in ``small.order``; each goes to
     the least free vertex of big that has at least its out- and in-degree
     and has arcs to and from the images of its already placed neighbours.
-    The degree-dominance test rejects before any search.
+    The degree matching test rejects before any search.
     """
     if not degrees_dominate(small, big):
         return None

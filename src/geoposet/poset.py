@@ -14,8 +14,10 @@ from the highest inversion count down, so the rows of every possible target
 are finished first.  Within a row, targets are visited in ascending
 inversion count: a target already in the row is implied by transitivity and
 skipped, and a successful embedding ORs in the target's whole row, since
-embeddings compose.  ``mask_embedding`` rejects a pair whose sorted degree
-sequences are not dominated pointwise before it searches at all.
+embeddings compose.  ``mask_embedding`` rejects a pair before it searches at
+all when no bijection gives every source vertex a target with at least its
+out- and in-degree.  One process builds the order; at n = 7 that matching
+test leaves too little search for a worker pool to pay.
 
 Classes are indexed in ascending inversion count, and row i ORs in only rows
 of higher levels, so every row is upper-triangular: it has bit i set and no
@@ -56,6 +58,15 @@ def _shapes(p: Permutation) -> tuple[MaskDigraph, MaskDigraph]:
     return shape, shape.flipped()
 
 
+def _embeds(source: MaskDigraph, shapes: tuple[MaskDigraph, MaskDigraph]) -> bool:
+    """Does source embed into the target or into its arc reversal?"""
+    target, flipped = shapes
+    return (
+        mask_embedding(source, target) is not None
+        or mask_embedding(source, flipped) is not None
+    )
+
+
 def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
     """Non-strict order on classes: equal, or properly embeddable.
 
@@ -68,11 +79,7 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
     if c_sigma.inversions >= c_pi.inversions:
         return False
     source = MaskDigraph.from_masks(*word_masks(c_sigma.representative.word))
-    target, flipped = _shapes(c_pi.representative)
-    return (
-        mask_embedding(source, target) is not None
-        or mask_embedding(source, flipped) is not None
-    )
+    return _embeds(source, _shapes(c_pi.representative))
 
 
 @dataclass(frozen=True)
@@ -135,20 +142,13 @@ class Poset:
         return json.dumps(self.to_json_obj(), indent=2)
 
 
-# Below this many classes a worker pool costs more than it saves: on 2 CPUs
-# it loses at n = 6 (182 classes) and wins at n = 7 (1 033).
-POOL_MIN_CLASSES = 500
-
-
-def build_poset(source: "int | ClassTable", workers: int = 1) -> Poset:
+def build_poset(source: "int | ClassTable") -> Poset:
     """Assemble the order over all classes of S_n.
 
     Accepts either n or a prebuilt class table.  Rows are filled one
-    inversion level at a time, top down; ``workers`` > 1 caps a pool that
-    spreads each level, from ``POOL_MIN_CLASSES`` classes on (n = 7).  The
-    default 1 starts no process, and the result is the same either way.
-    The rows are verified upper-triangular with a full diagonal (hence
-    reflexive and antisymmetric) and transitive before returning.
+    inversion level at a time, top down, in this process.  The rows are
+    verified upper-triangular with a full diagonal (hence reflexive and
+    antisymmetric) and transitive before returning.
     """
     table = enumerate_classes(source) if isinstance(source, int) else source
     classes = table.classes
@@ -157,20 +157,9 @@ def build_poset(source: "int | ClassTable", workers: int = 1) -> Poset:
     starts = [
         k for k in range(size) if k == 0 or classes[k].inversions != classes[k - 1].inversions
     ]
-    levels = list(zip(starts, starts[1:] + [size]))[::-1]
     rows = [0] * size
-    if workers > 1 and size >= POOL_MIN_CLASSES:
-        import multiprocessing as mp
-
-        with mp.Pool(workers, initializer=_init_worker, initargs=(shapes,)) as pool:
-            for start, stop in levels:
-                stride = min(stop - start, 4 * workers)
-                tasks = [(range(start + t, stop, stride), stop, rows) for t in range(stride)]
-                for t, part in enumerate(pool.map(_worker_rows, tasks)):
-                    rows[start + t : stop : stride] = part
-    else:
-        for start, stop in levels:
-            rows[start:stop] = _rows(range(start, stop), stop, shapes, rows)
+    for start, stop in reversed(list(zip(starts, starts[1:] + [size]))):
+        rows[start:stop] = _rows(start, stop, shapes, rows)
     leq = tuple(rows)
     if any(row & ((2 << i) - 1) != 1 << i for i, row in enumerate(leq)):
         raise AssertionError("relation is not reflexive and upper-triangular")
@@ -180,45 +169,24 @@ def build_poset(source: "int | ClassTable", workers: int = 1) -> Poset:
 
 
 def _rows(
-    indices: range,
-    first_above: int,
-    shapes: list[tuple[MaskDigraph, MaskDigraph]],
-    rows: list[int],
+    start: int, stop: int, shapes: list[tuple[MaskDigraph, MaskDigraph]], rows: list[int]
 ) -> list[int]:
-    """The rows of one inversion level, given the finished rows above it.
+    """Rows start..stop-1, one inversion level, given the finished rows
+    above it.
 
     Targets are visited in ascending inversion count; one already in the
     row is implied by transitivity and skipped, and a hit ORs in the whole
     row of the target, since embeddings compose.
     """
     done = []
-    for i in indices:
+    for i in range(start, stop):
         source = shapes[i][0]
         row = 1 << i
-        for j in range(first_above, len(shapes)):
-            if row >> j & 1:
-                continue
-            target, flipped = shapes[j]
-            if (
-                mask_embedding(source, target) is not None
-                or mask_embedding(source, flipped) is not None
-            ):
+        for j in range(stop, len(shapes)):
+            if not row >> j & 1 and _embeds(source, shapes[j]):
                 row |= rows[j]
         done.append(row)
     return done
-
-
-_WORKER_SHAPES: list[tuple[MaskDigraph, MaskDigraph]] = []
-
-
-def _init_worker(shapes: list[tuple[MaskDigraph, MaskDigraph]]) -> None:
-    global _WORKER_SHAPES
-    _WORKER_SHAPES = shapes
-
-
-def _worker_rows(task: tuple[range, int, list[int]]) -> list[int]:
-    indices, first_above, rows = task
-    return _rows(indices, first_above, _WORKER_SHAPES, rows)
 
 
 @dataclass(frozen=True)

@@ -277,7 +277,11 @@ def test_poset_6_summary(capsys):
     ]
 
 
-def test_poset_7_lists_the_rank_skipping_covers(capsys):
+def test_poset_7_lists_the_rank_skipping_covers(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     code, out, _ = run_cli(capsys, "poset", "7")
     assert code == 0
     jumps = [line for line in out.splitlines() if " jumps " in line]

@@ -240,6 +240,47 @@ def test_mask_embedding_matches_bruteforce_on_s5_classes():
     assert filtered > 0
 
 
+def brute_degree_matching(small: MaskDigraph, big: MaskDigraph) -> bool:
+    """Oracle: some bijection gives every vertex of small a vertex of big
+    with at least its out- and in-degree."""
+    need = list(zip(small.odeg, small.ideg))
+    have = list(zip(big.odeg, big.ideg))
+    return any(
+        all(a <= c and b <= d for (a, b), (c, d) in zip(need, image))
+        for image in itertools.permutations(have)
+    )
+
+
+@st.composite
+def digraph_masks(draw, n):
+    """A permutation digraph or an arbitrary one on n vertices, as masks."""
+    if draw(st.booleans()):
+        return word_masks(tuple(draw(st.permutations(range(1, n + 1)))))
+    arcs = [[u != v and draw(st.booleans()) for v in range(n)] for u in range(n)]
+    out = [sum(1 << v for v in range(n) if arcs[u][v]) for u in range(n)]
+    inn = [sum(1 << u for u in range(n) if arcs[u][v]) for v in range(n)]
+    return out, inn
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(digraph_masks(n), digraph_masks(n))))
+@settings(max_examples=300, deadline=None)
+def test_degrees_dominate_is_the_degree_matching(masks):
+    small, big = (MaskDigraph.from_masks(*m) for m in masks)
+    assert degrees_dominate(small, big) == brute_degree_matching(small, big)
+    assert degrees_dominate(small.flipped(), big.flipped()) == degrees_dominate(small, big)
+
+
+def test_degrees_dominate_pairs_the_degrees():
+    # equal sorted out- and in-degree sequences [2, 1, 0, 0], but no vertex
+    # of D(2413) has both an in-arc and an out-arc for D(1432)'s vertex 3
+    small = MaskDigraph.from_masks(*word_masks((1, 4, 3, 2)))
+    big = MaskDigraph.from_masks(*word_masks((2, 4, 1, 3)))
+    assert sorted(small.odeg) == sorted(big.odeg) == [0, 0, 1, 2]
+    assert sorted(small.ideg) == sorted(big.ideg) == [0, 0, 1, 2]
+    assert not degrees_dominate(small, big)
+    assert not brute_embeds(from_perm(parse("1432")), from_perm(parse("2413")))
+
+
 # ---------------------------------------------------------------------------
 # transitive orientations
 

@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geoposet
 from geoposet import geoequiv
 from geoposet.digraphs import canonical_key, from_perm, reverse
 from geoposet.geoequiv import (
@@ -257,6 +262,46 @@ def test_enumerate_worker_count_does_not_change_output(monkeypatch):
     serial = enumerate_classes(6, workers=1).to_json()
     parallel = enumerate_classes(6, workers=2).to_json()
     assert serial == parallel
+
+
+SPAWNED_POOL = """
+import multiprocessing as mp
+import multiprocessing.popen_fork
+
+from geoposet import geoequiv
+from geoposet.geoequiv import enumerate_classes
+
+
+def no_fork(self, process_obj):
+    raise RuntimeError("a worker pool forked")
+
+
+if __name__ == "__main__":
+    mp.set_start_method("spawn")
+    # the spawn Popen overrides _launch; only a forking pool reaches this
+    multiprocessing.popen_fork.Popen._launch = no_fork
+    # n = 6 is below the pool threshold; lower it so the pool really runs
+    geoequiv.POOL_MIN_WORDS = 0
+    table = enumerate_classes(6, workers=1)
+    assert enumerate_classes(6, workers=2).to_json() == table.to_json()
+    print(mp.get_start_method())
+"""
+
+
+def test_enumerate_pool_runs_under_spawn(tmp_path):
+    script = tmp_path / "spawned_pool.py"
+    script.write_text(SPAWNED_POOL)
+    src = str(Path(geoposet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(script)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "spawn\n"
 
 
 def test_table_json_round_trip():
