@@ -1,9 +1,10 @@
 """Command-line front end: enumeration reports, classification, posets,
 and the one-shot verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output for
-identical inputs is byte-identical whether or not the library runs a worker
-pool, and whatever the cache state.
+Exit codes: 0 success, 1 verification failure, 2 usage error or an output
+path that cannot be written.  Output for identical inputs is byte-identical
+whether or not ``enumerate_classes`` runs its worker pool, and whatever the
+cache state.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from .geoequiv import ENUMERATION_MAX_N, ClassTable, class_members, enumerate_classes
 from .graphs import inversion_graph
@@ -91,7 +92,7 @@ def load_cached_table(n: int) -> Optional[ClassTable]:
         return None
     try:
         return ClassTable.from_json_obj(payload)
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         return None
 
 
@@ -100,7 +101,7 @@ def _obtain_table(n: int, use_cache: bool) -> ClassTable:
         cached = load_cached_table(n)
         if cached is not None:
             return cached
-    table = enumerate_classes(n, workers=os.cpu_count() or 1)
+    table = enumerate_classes(n)
     if use_cache:
         try:
             save_cached_table(table)
@@ -120,6 +121,16 @@ def _write_json(obj: object, fh: TextIO) -> None:
     while batch := "".join(itertools.islice(chunks, 4096)):
         fh.write(batch)
     fh.write("\n")
+
+
+def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
+    """Open ``path`` for writing and hand it to ``write``; a path that cannot
+    be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _format_table(table: ClassTable) -> str:
@@ -221,7 +232,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
         )
     print("\n".join(lines))
     if args.dot:
-        Path(args.dot).write_text(diagram.to_dot() + "\n")
+        _write_file(args.dot, lambda fh: fh.write(diagram.to_dot() + "\n"))
         print(f"wrote DOT to {args.dot}")
     if args.json:
         payload = {
@@ -230,8 +241,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
             "poset": poset.to_json_obj(),
             "hasse": diagram.to_json_obj(),
         }
-        with open(args.json, "w") as fh:
-            _write_json(payload, fh)
+        _write_file(args.json, lambda fh: _write_json(payload, fh))
         print(f"wrote JSON to {args.json}")
     return 0
 
@@ -248,8 +258,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"{status} {suite['name']}: {suite['detail']}")
     print(f"verified {len(results['suites'])} suites; ok = {results['ok']}")
     if args.json:
-        with open(args.json, "w") as fh:
-            _write_json(results, fh)
+        _write_file(args.json, lambda fh: _write_json(results, fh))
         print(f"wrote JSON to {args.json}")
     return 0 if results["ok"] else 1
 

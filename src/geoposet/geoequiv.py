@@ -11,7 +11,7 @@ independent decision procedures are provided:
   up to isomorphism, allowing a global arc reversal.
 
 ``enumerate_classes`` partitions all of S_n by a canonical class key; the
-resulting tables are deterministic regardless of worker count.
+resulting tables are the same whether or not a worker pool keys them.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -272,7 +273,7 @@ def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
 POOL_MIN_WORDS = 100_000
 
 
-def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
+def enumerate_classes(n: int) -> ClassTable:
     """Partition all of S_n into geo-equivalence classes.
 
     One key serves each orbit {w, rc(w⁻¹)}, rc being reverse-complement:
@@ -281,9 +282,9 @@ def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
     lexicographically smaller word of each orbit is keyed, and its key is
     stored under both words; at n = 8 that is 20 542 keys for 40 320 words.
 
-    ``workers`` > 1 caps a pool that keys chunks of orbit representatives,
-    from ``POOL_MIN_WORDS`` words on (n = 9); the default 1 starts no
-    process, and the output is byte-identical either way.
+    From ``POOL_MIN_WORDS`` words on (n = 9), and only with more than one
+    CPU, a pool of one process per CPU keys chunks of orbit
+    representatives; the output is byte-identical either way.
     Refuses n outside 1..9: the scan is exact and the factorial growth makes
     larger n a different project.
     """
@@ -294,7 +295,8 @@ def enumerate_classes(n: int, workers: int = 1) -> ClassTable:
     words = list(itertools.permutations(range(1, n + 1)))
     total = len(words)
     reps = [w for w in words if w <= _rc_inverse(w)]
-    if workers <= 1 or total < POOL_MIN_WORDS:
+    workers = os.cpu_count() or 1
+    if workers < 2 or total < POOL_MIN_WORDS:
         keys = [_word_key(w) for w in reps]
     else:
         import multiprocessing as mp

@@ -10,19 +10,21 @@ relation antisymmetric.
 ``build_poset`` fills one bitmask row per class.  Each representative's
 digraph is built once, as adjacency masks straight from the word, together
 with its arc reversal (isomorphic to the inverse's digraph).  Rows are filled
-from the highest inversion count down, so the rows of every possible target
-are finished first.  Within a row, targets are visited in ascending
-inversion count: a target already in the row is implied by transitivity and
-skipped, and a successful embedding ORs in the target's whole row, since
-embeddings compose.  ``mask_embedding`` rejects a pair before it searches at
-all when no bijection gives every source vertex a target with at least its
-out- and in-degree.  One process builds the order; at n = 7 that matching
-test leaves too little search for a worker pool to pay.
+from the last class up, so the rows of every possible target are finished
+first.  Within a row, targets are visited in ascending index: a target
+already in the row is implied by transitivity and skipped, and a successful
+embedding ORs in the target's whole row, since embeddings compose.  The
+targets that embed are exactly the covers of the row's class, so the fill
+records them and nothing walks the relation pair by pair afterwards.
+``mask_embedding`` rejects a pair before it searches at all when no
+bijection gives every source vertex a target with at least its out- and
+in-degree.
 
 Classes are indexed in ascending inversion count, and row i ORs in only rows
 of higher levels, so every row is upper-triangular: it has bit i set and no
-bit below i.  That one invariant gives reflexivity and antisymmetry;
-``build_poset`` checks it, and transitivity, before returning.
+bit below i.  That one invariant gives reflexivity and antisymmetry.
+``checked_poset`` checks it, and checks transitivity and the covers on the
+covers alone, before the order is returned.
 
 The weak Bruhat orders (containment of inversion sets, either of the word
 or of its inverse) induce a suborder: every Bruhat containment yields
@@ -34,14 +36,15 @@ closures, the transitivity of precedence and inversion make enough.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_
 from typing import Literal, Optional
 
 from .digraphs import MaskDigraph, mask_embedding
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
-from .graphs import bits, is_closed, successors
+from .graphs import bits, successors
 from .perms import Permutation, all_permutations, inverse, inverse_word, word_masks
 # Not called here; perfbench/spans.py wraps these names on this module.
 from .digraphs import from_perm, spanning_embeds  # noqa: F401
@@ -87,11 +90,13 @@ class Poset:
     """The full order relation over a class table.
 
     ``leq`` holds one bitmask per class index: bit j of row i says class i
-    precedes class j.
+    precedes class j.  ``covers`` holds the sorted (lower, upper) index
+    pairs of the transitive reduction.
     """
 
     table: ClassTable
     leq: tuple[int, ...]
+    covers: tuple[tuple[int, int], ...]
 
     @property
     def n(self) -> int:
@@ -103,14 +108,6 @@ class Poset:
 
     def is_leq(self, i: int, j: int) -> bool:
         return bool(self.leq[i] >> j & 1)
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (lower, upper) index pairs of the transitive reduction."""
-        strict = [row & ~(1 << i) for i, row in enumerate(self.leq)]
-        return tuple(
-            (i, j) for i, row in enumerate(strict) for j in bits(row & ~successors(strict, row))
-        )
 
     def bounds(self) -> tuple[Optional[GeoClass], Optional[GeoClass]]:
         """The first and last elements, when they exist."""
@@ -145,48 +142,63 @@ class Poset:
 def build_poset(source: "int | ClassTable") -> Poset:
     """Assemble the order over all classes of S_n.
 
-    Accepts either n or a prebuilt class table.  Rows are filled one
-    inversion level at a time, top down, in this process.  The rows are
-    verified upper-triangular with a full diagonal (hence reflexive and
-    antisymmetric) and transitive before returning.
+    Accepts either n or a prebuilt class table.  Row i is filled after
+    every row above it.  Its targets, the classes of higher inversion
+    count, are visited in ascending index; one already in the row is
+    skipped, and a hit (the target embeds) ORs in the target's row.
+
+    The hits of row i are exactly its covers.  Say j is in the row but
+    does not cover i.  Then j lies in the row of some cover c of i, and c
+    has fewer inversions than j, so a smaller index.  The fill reaches c
+    first and ORs in its row, so j is skipped.  A cover c is never in the
+    row of another hit, so it is tested when reached, and it hits.  The
+    fill records the hits as each row's covers for ``checked_poset``.
     """
     table = enumerate_classes(source) if isinstance(source, int) else source
-    classes = table.classes
-    size = len(classes)
-    shapes = [_shapes(c.representative) for c in classes]
-    starts = [
-        k for k in range(size) if k == 0 or classes[k].inversions != classes[k - 1].inversions
-    ]
+    counts = [c.inversions for c in table.classes]
+    shapes = [_shapes(c.representative) for c in table.classes]
+    size = len(shapes)
     rows = [0] * size
-    for start, stop in reversed(list(zip(starts, starts[1:] + [size]))):
-        rows[start:stop] = _rows(start, stop, shapes, rows)
-    leq = tuple(rows)
-    if any(row & ((2 << i) - 1) != 1 << i for i, row in enumerate(leq)):
-        raise AssertionError("relation is not reflexive and upper-triangular")
-    if not is_closed(leq):
-        raise AssertionError("relation is not transitive")
-    return Poset(table, leq)
-
-
-def _rows(
-    start: int, stop: int, shapes: list[tuple[MaskDigraph, MaskDigraph]], rows: list[int]
-) -> list[int]:
-    """Rows start..stop-1, one inversion level, given the finished rows
-    above it.
-
-    Targets are visited in ascending inversion count; one already in the
-    row is implied by transitivity and skipped, and a hit ORs in the whole
-    row of the target, since embeddings compose.
-    """
-    done = []
-    for i in range(start, stop):
-        source = shapes[i][0]
+    covers = [0] * size
+    for i in reversed(range(size)):
+        shape = shapes[i][0]
         row = 1 << i
-        for j in range(stop, len(shapes)):
-            if not row >> j & 1 and _embeds(source, shapes[j]):
+        for j in range(bisect_right(counts, counts[i]), size):
+            if not row >> j & 1 and _embeds(shape, shapes[j]):
                 row |= rows[j]
-        done.append(row)
-    return done
+                covers[i] |= 1 << j
+        rows[i] = row
+    return checked_poset(table, rows, covers)
+
+
+def checked_poset(table: ClassTable, rows: list[int], covers: list[int]) -> Poset:
+    """The order with rows ``rows`` and cover masks ``covers``, once both
+    are checked; raises AssertionError otherwise.
+
+    For each row i: (a) the row is upper-triangular with its diagonal bit,
+    and every cover of i lies strictly above i; (b) the row is i together
+    with the rows of its covers; (c) no cover of i lies in the row of
+    another cover of i.  By (a), (b) and induction from the last row up,
+    every row is closed: a class k in row i is i itself or lies in the row
+    of a cover c > i, which is closed, so row k lies within row c, within
+    row i.  The covers are then exactly the transitive reduction.  By (b),
+    any other class j > i in row i lies in the row of a cover, so j is no
+    reduction edge.  Say a cover c lies in the row of some k in row i,
+    with k neither i nor c.  By (b), k lies in the row of a cover c', and
+    so does c.  Then c' = c by (c), and c and k lie in each other's rows,
+    which (a) rules out.  The cost is a few big-int operations per cover,
+    not per pair.
+    """
+    for i, (row, up) in enumerate(zip(rows, covers)):
+        below = (2 << i) - 1
+        if row & below != 1 << i or up & below:
+            raise AssertionError("relation is not reflexive and upper-triangular")
+        if row != 1 << i | successors(rows, up):
+            raise AssertionError("relation is not the closure of its covers")
+        if any(rows[c] & up != 1 << c for c in bits(up)):
+            raise AssertionError("covers are not the transitive reduction")
+    pairs = tuple((i, j) for i, up in enumerate(covers) for j in bits(up))
+    return Poset(table, tuple(rows), pairs)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ def test_criterion_1_class_count_sequence():
     detail = f"counts {list(got.values())} for n=1..8 in {elapsed:.1f}+ s"
     if os.environ.get("GEOPOSET_ACCEPT_LONG") == "1":
         t1 = time.time()
-        got[9] = enumerate_classes(9, workers=os.cpu_count() or 1).count
+        got[9] = enumerate_classes(9).count
         assert got[9] == CLASS_COUNTS[9]
         detail += f"; n=9 -> {got[9]} in {time.time() - t1:.0f} s"
     else:

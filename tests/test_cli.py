@@ -157,17 +157,26 @@ def test_cache_entry_of_another_n_is_a_miss(capsys):
 def test_cache_payload_of_the_wrong_shape_is_a_miss():
     from geoposet.cli import CACHE_SCHEMA_VERSION, _cache_path, _digest
 
-    payload = {"n": 3, "classes": 5}  # iterating the classes raises TypeError
-    entry = {
-        "schema_version": CACHE_SCHEMA_VERSION,
-        "n": 3,
-        "digest": _digest(payload),
-        "table": payload,
-    }
+    def one_class(members):
+        item = {"label": "0.1", "inversions": 0, "representative": "123"}
+        return {"n": 3, "classes": [dict(item, members=members)]}
+
+    payloads = [
+        {"n": 3, "classes": 5},  # iterating the classes raises TypeError
+        one_class([5]),  # members that are not strings cannot be parsed
+        one_class([[1, 2, 3]]),
+    ]
     path = _cache_path(3)
     path.parent.mkdir(parents=True)
-    path.write_text(json.dumps(entry))
-    assert load_cached_table(3) is None
+    for payload in payloads:
+        entry = {
+            "schema_version": CACHE_SCHEMA_VERSION,
+            "n": 3,
+            "digest": _digest(payload),
+            "table": payload,
+        }
+        path.write_text(json.dumps(entry))
+        assert load_cached_table(3) is None, payload
 
 
 def test_concurrent_saves_all_succeed(isolated_cache):
@@ -258,6 +267,14 @@ def test_poset_summary_and_exports(tmp_path, capsys):
     assert payload["hasse"]["edges"]
 
 
+def test_poset_dot_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    dot = tmp_path / "missing" / "h.dot"
+    code, out, err = run_cli(capsys, "poset", "3", "--dot", str(dot))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {dot}: ")
+    assert "classes: 4" in out and "wrote DOT" not in out
+
+
 def test_poset_chain_summary(capsys):
     code, out, _ = run_cli(capsys, "poset", "3")
     assert code == 0
@@ -333,6 +350,14 @@ VERIFY_5_STDOUT = [
     "PASS four-family: four-member families stay inside their class on 40 samples",
     "verified 14 suites; ok = True",
 ]
+
+
+def test_verify_json_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    js = tmp_path / "missing" / "verify.json"
+    code, out, err = run_cli(capsys, "verify", "2", "--json", str(js))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {js}: ")
+    assert "ok = True" in out and "wrote JSON" not in out
 
 
 def test_verify_5_stdout(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -257,16 +258,28 @@ def test_class_of_rejects_non_members():
 
 
 def test_enumerate_worker_count_does_not_change_output(monkeypatch):
+    pools = []
+    real_pool = multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = enumerate_classes(6).to_json()
+    assert pools == []
     # n = 6 is below the pool threshold; lower it so the pool really runs
     monkeypatch.setattr(geoequiv, "POOL_MIN_WORDS", 0)
-    serial = enumerate_classes(6, workers=1).to_json()
-    parallel = enumerate_classes(6, workers=2).to_json()
+    parallel = enumerate_classes(6).to_json()
+    assert pools == [(2,)]
     assert serial == parallel
 
 
 SPAWNED_POOL = """
 import multiprocessing as mp
 import multiprocessing.popen_fork
+import os
 
 from geoposet import geoequiv
 from geoposet.geoequiv import enumerate_classes
@@ -280,10 +293,11 @@ if __name__ == "__main__":
     mp.set_start_method("spawn")
     # the spawn Popen overrides _launch; only a forking pool reaches this
     multiprocessing.popen_fork.Popen._launch = no_fork
+    os.cpu_count = lambda: 2
+    table = enumerate_classes(6)
     # n = 6 is below the pool threshold; lower it so the pool really runs
     geoequiv.POOL_MIN_WORDS = 0
-    table = enumerate_classes(6, workers=1)
-    assert enumerate_classes(6, workers=2).to_json() == table.to_json()
+    assert enumerate_classes(6).to_json() == table.to_json()
     print(mp.get_start_method())
 """
 

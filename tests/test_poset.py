@@ -1,15 +1,17 @@
+import os
+
 import pytest
 
 from geoposet.digraphs import from_perm, reverse, spanning_embeds
 from geoposet.geoequiv import enumerate_classes
-from geoposet.graphs import is_closed
+from geoposet.graphs import bits, is_closed, successors
 from geoposet.perms import all_permutations, inverse, inversion_set, parse
 from geoposet.poset import (
-    Poset,
     bruhat_below,
     bruhat_covers,
     bruhat_extension_check,
     build_poset,
+    checked_poset,
     hasse,
     is_graded,
     precedes,
@@ -177,6 +179,50 @@ def test_poset_json_matrix():
     assert obj["leq"][3] == [0, 0, 0, 1]
 
 
+def walk_covers(rows):
+    """The oracle for the covers the fill records: walk every pair of the
+    strict relation and keep those no other successor explains."""
+    strict = [row & ~(1 << i) for i, row in enumerate(rows)]
+    return tuple(
+        (i, j) for i, row in enumerate(strict) for j in bits(row & ~successors(strict, row))
+    )
+
+
+def cover_masks(pairs, size):
+    masks = [0] * size
+    for i, j in pairs:
+        masks[i] |= 1 << j
+    return masks
+
+
+def is_order_with_covers(rows, covers):
+    """The oracle for ``checked_poset``: a triangular, closed relation whose
+    transitive reduction is ``covers``."""
+    triangular = all(row & ((2 << i) - 1) == 1 << i for i, row in enumerate(rows))
+    return triangular and is_closed(rows) and walk_covers(rows) == tuple(
+        (i, j) for i, mask in enumerate(covers) for j in bits(mask)
+    )
+
+
+def test_checked_poset_raises_exactly_on_a_wrong_bit():
+    table = enumerate_classes(4)
+    poset = build_poset(table)
+    rows = list(poset.leq)
+    covers = cover_masks(poset.covers, poset.size)
+    assert checked_poset(table, rows, covers) == poset
+    for masks in (rows, covers):
+        for i in range(poset.size):
+            for j in range(poset.size):
+                masks[i] ^= 1 << j
+                try:
+                    checked_poset(table, rows, covers)
+                    raised = False
+                except AssertionError:
+                    raised = True
+                assert raised != is_order_with_covers(rows, covers), (masks is rows, i, j)
+                masks[i] ^= 1 << j
+
+
 def corrupted_rows(table, fault):
     rows = list(build_poset(table).leq)
     if fault == "bit below the diagonal":
@@ -196,14 +242,14 @@ def corrupted_rows(table, fault):
 @pytest.mark.parametrize(
     "fault", ["bit below the diagonal", "no diagonal bit", "missing transitive bit"]
 )
-def test_build_poset_self_checks_fire(monkeypatch, fault):
+def test_build_poset_self_checks_fire(fault):
     table = enumerate_classes(4)
     rows = corrupted_rows(table, fault)
-    # each fault trips exactly one of the two checks
+    # each fault breaks exactly one of triangularity and closure
     assert is_closed(rows) == (fault != "missing transitive bit")
-    monkeypatch.setattr("geoposet.poset._rows", lambda start, stop, *_: rows[start:stop])
+    covers = cover_masks(build_poset(table).covers, len(rows))
     with pytest.raises(AssertionError):
-        build_poset(table)
+        checked_poset(table, rows, covers)
 
 
 def test_no_pool_below_the_thresholds(monkeypatch):
@@ -213,7 +259,8 @@ def test_no_pool_below_the_thresholds(monkeypatch):
         raise AssertionError("a worker pool started")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    table = enumerate_classes(6, workers=2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    table = enumerate_classes(6)
     # build_poset starts no pool at any size
     assert build_poset(table).size == 182
 
@@ -225,6 +272,7 @@ def test_poset_equals_all_pairs_precedes(n):
     for i, low in enumerate(classes):
         row = sum(1 << j for j, high in enumerate(classes) if precedes(low, high))
         assert poset.leq[i] == row, low.label
+    assert poset.covers == walk_covers(poset.leq)
 
 
 def test_precedes_matches_digraph_route():
@@ -250,6 +298,7 @@ def test_n7_order_is_bounded_and_not_graded():
     assert poset.size == 1033
     assert poset.is_bounded()
     assert len(hasse(poset).edges) == 5118
+    assert poset.covers == walk_covers(poset.leq)
     graded, witnesses = is_graded(poset)
     assert not graded
     assert len(witnesses) == 42
@@ -369,7 +418,7 @@ def test_extension_check_catches_a_cleared_cover():
     assert poset.table.labels[:2] == ("0.1", "1.1")
     leq = list(poset.leq)
     leq[0] &= ~(1 << 1)
-    broken = Poset(poset.table, tuple(leq))
+    broken = checked_poset(poset.table, leq, cover_masks(walk_covers(leq), len(leq)))
     for row in leq:  # 0.1 -> 1.1 is a cover, so the rest stays transitive
         closure = row
         for k in range(len(leq)):
