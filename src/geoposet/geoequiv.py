@@ -125,14 +125,16 @@ def four_family(p: Permutation) -> tuple[Permutation, Permutation, Permutation, 
 def class_members(p: Permutation) -> tuple[Permutation, ...]:
     """Every permutation geo-equivalent to p, in lexicographic order.
 
-    One scan of the vertex bijections g of D(p).  When g makes every arc
-    increasing, the image of D(p) is a candidate; when g makes every arc
-    decreasing, the image of D(p) reversed is, since that digraph is
-    isomorphic to D(p inverse), and reversal swaps the out- and in-masks.
-    A bijection that mixes the two directions gives neither.
-    ``word_from_masks`` keeps the candidates that are the digraph of some
-    word.  The identity has no arcs and is alone in its class.  The
-    scan stays usable through n = 9 without enumerating the class table.
+    The class is every w with D(w) isomorphic to D(p) or to D(p) reversed.
+    One scan of the vertex bijections g of D(p) keeps those under which
+    every arc rises, and ``word_from_masks`` keeps the images that are the
+    digraph of some word.  This finds every w with D(w) ≅ D(p): an
+    isomorphism onto D(w) sends arcs to arcs of D(w), and those all rise.
+    The rest of the class is their inverses: D(x⁻¹) is isomorphic to D(x)
+    reversed, so D(x) ≅ D(p) reversed exactly when D(x⁻¹) ≅ D(p), and
+    inversion is a bijection of S_n.  The identity has no arcs, so every
+    bijection would rise; it is alone in its class.  The scan stays usable
+    through n = 9 without enumerating the class table.
     """
     if p.n > ENUMERATION_MAX_N:
         raise ValueError(f"class membership scans are bounded to n <= {ENUMERATION_MAX_N}")
@@ -140,12 +142,10 @@ def class_members(p: Permutation) -> tuple[Permutation, ...]:
     arcs = [(u, v) for u, m in enumerate(word_masks(p.word)[0]) for v in bits(m)]
     if not arcs:
         return (p,)  # only the identity has no inversions
-    u0, v0 = arcs[0]
     words = set()
     for g in itertools.permutations(range(n)):
-        rising = g[u0] < g[v0]
         for u, v in arcs:
-            if (g[u] < g[v]) is not rising:
+            if g[u] > g[v]:
                 break
         else:
             out = [0] * n
@@ -153,9 +153,10 @@ def class_members(p: Permutation) -> tuple[Permutation, ...]:
             for u, v in arcs:
                 out[g[u]] |= 1 << g[v]
                 inn[g[v]] |= 1 << g[u]
-            word = word_from_masks(out, inn) if rising else word_from_masks(inn, out)
+            word = word_from_masks(out, inn)
             if word is not None:
                 words.add(word)
+    words |= {inverse_word(w) for w in words}
     return tuple(Permutation(w) for w in sorted(words))
 
 
@@ -314,25 +315,26 @@ def enumerate_classes(n: int) -> ClassTable:
         ck = min(key_of[w], key_of[inverse_word(w)])
         groups.setdefault(ck, []).append(w)
 
+    # ``words`` is in lexicographic order, so each group already is too and
+    # its first member is the least.
     raw = []
-    for ck, members in groups.items():
-        members.sort()
-        rep = Permutation(members[0])
-        raw.append((inversion_count(rep), rep, members, ck))
-    raw.sort(key=lambda item: (item[0], item[1]))
+    for ck, group in groups.items():
+        members = tuple(Permutation(w) for w in group)
+        raw.append((inversion_count(members[0]), members, ck))
+    raw.sort(key=lambda item: (item[0], item[1][0]))
 
     classes = []
     within = 0
     last_inv = None
-    for inv, rep, members, ck in raw:
+    for inv, members, ck in raw:
         within = within + 1 if inv == last_inv else 1
         last_inv = inv
         classes.append(
             GeoClass(
                 label=f"{inv}.{within}",
                 inversions=inv,
-                representative=rep,
-                members=tuple(Permutation(w) for w in members),
+                representative=members[0],
+                members=members,
                 key=ck,
             )
         )

@@ -75,8 +75,9 @@ def parse(text: str) -> Permutation:
 
     Two formats are accepted: a contiguous digit string for n <= 9 (the way
     small words are usually written, e.g. ``"2431"``), and comma-separated
-    integers for any n.  Raises ValueError on anything that is not a word
-    of some S_n.
+    integers for any n, with optional whitespace around each.  Digits are
+    ASCII 0-9 only.  Raises ValueError on anything that is not a word of
+    some S_n.
 
     >>> parse("2431").word
     (2, 4, 3, 1)
@@ -86,16 +87,13 @@ def parse(text: str) -> Permutation:
     text = text.strip()
     if not text:
         raise ValueError("empty permutation text")
-    if "," in text:
-        try:
-            values = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"malformed permutation text: {text!r}") from None
-    else:
-        if not text.isdigit():
+    comma = "," in text
+    parts = [part.strip() for part in text.split(",")] if comma else [text]
+    # ASCII 0-9 only: int() would also take other Unicode digits, signs and "_".
+    for part in parts:
+        if not (part.isascii() and part.isdigit()):
             raise ValueError(f"malformed permutation text: {text!r}")
-        values = tuple(int(ch) for ch in text)
-    return Permutation(values)
+    return Permutation(tuple(map(int, parts if comma else text)))
 
 
 def inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -246,6 +246,12 @@ def test_classify_rejects_garbage(capsys):
     assert code == 2 and "error" in err
 
 
+def test_classify_refuses_words_above_the_scan_bound(capsys):
+    code, out, err = run_cli(capsys, "classify", "10,9,8,7,6,5,4,3,2,1")
+    assert code == 2 and "n <= 9" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # poset
 

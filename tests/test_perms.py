@@ -53,10 +53,18 @@ def test_parse_commas_large_n():
     assert p.n == 10 and p.word[0] == 10
 
 
-@pytest.mark.parametrize("bad", ["", "122", "13", "0", "2431x", "1,2,2", "1,0"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "122", "13", "0", "2431x", "1,2,2", "1,0", "٢١", "+2,1", "1_0,2,3,4,5,6,7,8,9,1", "²1"],
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse(bad)
+
+
+def test_parse_reports_non_ascii_digits_as_malformed():
+    with pytest.raises(ValueError, match="malformed permutation text"):
+        parse("²1")
 
 
 def test_inverse_paper_example():
