@@ -205,6 +205,11 @@ def cmd_poset(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= POSET_MAX_N:
         raise UsageError(f"poset construction supports 1 <= n <= {POSET_MAX_N}")
+    if n >= LONG_RUN_THRESHOLD and not args.allow_long:
+        raise UsageError(
+            f"n = {n} orders the classes of all {math.factorial(n)} words of S_{n}; "
+            "pass --allow-long to run it anyway"
+        )
     table = _obtain_table(n, use_cache=not args.no_cache)
     poset = build_poset(table)
     diagram = hasse(poset)
@@ -293,6 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pos.add_argument("--dot", metavar="PATH")
     p_pos.add_argument("--json", metavar="PATH")
     p_pos.add_argument("--no-cache", action="store_true")
+    p_pos.add_argument("--allow-long", action="store_true")
     p_pos.set_defaults(func=cmd_poset)
 
     p_ver = sub.add_parser("verify", help="run the cross-module property suites")

@@ -7,29 +7,31 @@ inverse.  A proper embedding forces strictly fewer inversions, so classes
 with equal counts are never comparable, which is also what makes the
 relation antisymmetric.
 
-``build_poset`` fills one bitmask row per class.  Each representative's
-digraph is built once, as adjacency masks straight from the word, together
-with its arc reversal (isomorphic to the inverse's digraph).  Rows are filled
-from the last class up, so the rows of every possible target are finished
-first.  Within a row, targets are visited in ascending index: a target
-already in the row is implied by transitivity and skipped, and a successful
-embedding ORs in the target's whole row, since embeddings compose.  The
-targets that embed are exactly the covers of the row's class, so the fill
-records them and nothing walks the relation pair by pair afterwards.
-``mask_embedding`` rejects a pair before it searches at all when no
-bijection gives every source vertex a target with at least its out- and
-in-degree.
+``build_poset`` fills one bitmask row per class, bottom-up on the weak-order
+floor.  A left weak-order cover of a word adds one inversion and keeps the
+others, so the identity map embeds the word's digraph into the cover's: the
+cover's class lies above the word's.  Mapping the left covers of every
+member to class indices gives each class's weak covers, and their closure
+is the floor, a part of the order that costs no search.  The right covers
+add nothing: they are the left covers of the inverses, inverted, and a word
+shares its class with its inverse.  Each row starts as its floor row, and
+only the classes the floor leaves open are decided by an embedding search
+(see ``build_poset``).  Each representative's digraph is built once, as
+adjacency masks straight from the word, together with its arc reversal
+(isomorphic to the inverse's digraph).  ``mask_embedding`` rejects a pair
+before it searches at all when no bijection gives every source vertex a
+target with at least its out- and in-degree.
 
-Classes are indexed in ascending inversion count, and row i ORs in only rows
-of higher levels, so every row is upper-triangular: it has bit i set and no
-bit below i.  That one invariant gives reflexivity and antisymmetry.
-``checked_poset`` checks it, and checks transitivity and the covers on the
-covers alone, before the order is returned.
+Classes are indexed in ascending inversion count, and row i holds only
+classes of higher levels besides i, so every row is upper-triangular: it
+has bit i set and no bit below i.  That one invariant gives reflexivity and
+antisymmetry.  ``checked_poset`` checks it, and checks transitivity and the
+covers on the covers alone, before the order is returned.
 
 The weak Bruhat orders (containment of inversion sets, either of the word
-or of its inverse) induce a suborder: every Bruhat containment yields
-precedence, but not conversely.  ``bruhat_extension_check`` verifies the
-containment direction for small n on the left cover steps, which the
+or of its inverse) induce a suborder, the floor: every Bruhat containment
+yields precedence, but not conversely.  ``bruhat_extension_check`` verifies
+the containment direction for small n on the left cover steps, which the
 closures, the transitivity of precedence and inversion make enough.
 """
 
@@ -39,7 +41,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from typing import Literal, Optional
 
 from .digraphs import MaskDigraph, mask_embedding
@@ -51,7 +53,10 @@ from .digraphs import from_perm, spanning_embeds  # noqa: F401
 from .perms import inversion_set  # noqa: F401
 
 # The largest n the ``poset`` command builds the order for.
-POSET_MAX_N = 7
+POSET_MAX_N = 8
+# From this n on, ``Poset.to_json_obj`` writes the covers, not the dense
+# matrix (57.8 M cells at n = 8).
+COMPACT_JSON_MIN_N = 8
 
 
 def _shapes(p: Permutation) -> tuple[MaskDigraph, MaskDigraph]:
@@ -124,16 +129,21 @@ class Poset:
         return first is not None and last is not None
 
     def to_json_obj(self) -> dict:
-        size = self.size
-        return {
-            "schema_version": 1,
-            "n": self.n,
-            "labels": list(self.table.labels),
-            "leq": [
+        """Labels plus the dense 0/1 ``leq`` matrix; from n =
+        ``COMPACT_JSON_MIN_N`` on, ``"form": "covers"`` and the (lower,
+        upper) index pairs of the covers instead, whose reflexive-transitive
+        closure is the order."""
+        obj = {"schema_version": 1, "n": self.n, "labels": list(self.table.labels)}
+        if self.n >= COMPACT_JSON_MIN_N:
+            obj["form"] = "covers"
+            obj["covers"] = [list(pair) for pair in self.covers]
+        else:
+            size = self.size
+            obj["leq"] = [
                 [1 if self.leq[i] >> j & 1 else 0 for j in range(size)]
                 for i in range(size)
-            ],
-        }
+            ]
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2)
@@ -142,33 +152,75 @@ class Poset:
 def build_poset(source: "int | ClassTable") -> Poset:
     """Assemble the order over all classes of S_n.
 
-    Accepts either n or a prebuilt class table.  Row i is filled after
-    every row above it.  Its targets, the classes of higher inversion
-    count, are visited in ascending index; one already in the row is
-    skipped, and a hit (the target embeds) ORs in the target's row.
+    Accepts either n or a prebuilt class table.
 
-    The hits of row i are exactly its covers.  Say j is in the row but
-    does not cover i.  Then j lies in the row of some cover c of i, and c
-    has fewer inversions than j, so a smaller index.  The fill reaches c
-    first and ORs in its row, so j is skipped.  A cover c is never in the
-    row of another hit, so it is tested when reached, and it hits.  The
-    fill records the hits as each row's covers for ``checked_poset``.
+    Floor.  ``up[i]`` holds the classes of the left weak-order covers of
+    the members of class i, and ``below`` is its reverse.  Closing ``up``
+    from the last row down gives ``floor[i]``, which lies within the true
+    row i: inversion-set containment is the identity embedding.
+
+    Fill.  Rows are filled in ascending index, each seeded with its floor
+    row.  A class j above i is also above every class k below i, and every
+    k in ``below[i]`` has a smaller index, so its row is finished.  The
+    candidates are therefore the classes of higher inversion count that lie
+    in ``rows[k]`` for every such k.  They are visited in ascending index;
+    one already in the row is skipped, and a hit (the candidate embeds) ORs
+    in the candidate's floor row, since embeddings compose.  Every bit the
+    fill sets is a true relation, and every true successor of i is a
+    candidate that is either tested or already in the row, so the row is
+    exact.
+
+    Covers.  Let the candidates of i now be ``up[i]`` and the hits of row
+    i.  Every class j in row i other than i lies in the row of one of them:
+    in the floor row of a weak cover, or in the floor row of a hit.  If j
+    covers i, that candidate can only be j itself, and j lies in no other
+    candidate's row.  Conversely, if a candidate c does not cover i, some k
+    lies strictly between i and c; k lies in the row of a candidate c' with
+    c' <= k < c, so c lies in the row of c' != c.  So the covers of i are
+    the candidates that no other candidate's finished row contains.  The
+    rows and covers go to ``checked_poset``.
     """
     table = enumerate_classes(source) if isinstance(source, int) else source
     counts = [c.inversions for c in table.classes]
     shapes = [_shapes(c.representative) for c in table.classes]
     size = len(shapes)
-    rows = [0] * size
-    covers = [0] * size
+    up = _weak_covers(table)
+    below = [0] * size
+    floor = [0] * size
     for i in reversed(range(size)):
-        shape = shapes[i][0]
-        row = 1 << i
-        for j in range(bisect_right(counts, counts[i]), size):
-            if not row >> j & 1 and _embeds(shape, shapes[j]):
-                row |= rows[j]
-                covers[i] |= 1 << j
+        floor[i] = 1 << i | successors(floor, up[i])
+        for j in bits(up[i]):
+            below[j] |= 1 << i
+    rows = [0] * size
+    hits = [0] * size
+    everything = (1 << size) - 1
+    for i in range(size):
+        row = floor[i]
+        first = bisect_right(counts, counts[i])
+        higher = everything >> first << first
+        candidates = reduce(and_, (rows[k] for k in bits(below[i])), higher)
+        for j in bits(candidates & ~row):
+            if not row >> j & 1 and _embeds(shapes[i][0], shapes[j]):
+                row |= floor[j]
+                hits[i] |= 1 << j
         rows[i] = row
+    covers = []
+    for candidates in map(or_, up, hits):
+        above = reduce(or_, (rows[c] ^ 1 << c for c in bits(candidates)), 0)
+        covers.append(candidates & ~above)
     return checked_poset(table, rows, covers)
+
+
+def _weak_covers(table: ClassTable) -> list[int]:
+    """Bit j of entry i: a member of class j is a left weak-order cover of
+    a member of class i."""
+    index = {m.word: k for k, c in enumerate(table.classes) for m in c.members}
+    up = [0] * table.count
+    for k, c in enumerate(table.classes):
+        for m in c.members:
+            for w in _left_steps(m.word):
+                up[k] |= 1 << index[w]
+    return up
 
 
 def checked_poset(table: ClassTable, rows: list[int], covers: list[int]) -> Poset:
@@ -271,12 +323,16 @@ def bruhat_covers(p: Permutation, side: Side) -> tuple[Permutation, ...]:
         return tuple(inverse(q) for q in bruhat_covers(inverse(p), "left"))
     if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    word = p.word
-    return tuple(
-        Permutation(word[:i] + (word[i + 1], word[i]) + word[i + 2 :])
-        for i in range(p.n - 1)
+    return tuple(Permutation(w) for w in _left_steps(p.word))
+
+
+def _left_steps(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The words of the left covers: each ascending adjacent pair swapped."""
+    return [
+        word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
+        for i in range(len(word) - 1)
         if word[i] < word[i + 1]
-    )
+    ]
 
 
 def _inversions_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -297,13 +353,16 @@ def bruhat_extension_check(
 ) -> tuple[bool, tuple[tuple[str, str], ...]]:
     """Precedence must extend the order the weak Bruhat containments induce.
 
-    Each weak order is the reflexive-transitive closure of its cover steps,
-    so on a transitive relation (``build_poset`` checks that precedence is)
-    every containment E(sigma) within E(pi), or of the inverses, yields
-    precedence exactly when every cover step of either order does.  The
-    left steps suffice: a right cover p -> q is the left cover p⁻¹ -> q⁻¹
-    inverted, and a word shares its class with its inverse.  Returns the
-    verdict and each failing left step, as a word pair; bounded to n <= 6.
+    ``build_poset`` seeds every row with its floor row, the closure of these
+    very steps, so on its output this holds by construction: the check
+    verifies the floor.  Each weak order is the reflexive-transitive
+    closure of its cover steps, so on a transitive relation
+    (``build_poset`` checks that precedence is) every containment E(sigma)
+    within E(pi), or of the inverses, yields precedence exactly when every
+    cover step of either order does.  The left steps suffice: a right cover
+    p -> q is the left cover p⁻¹ -> q⁻¹ inverted, and a word shares its
+    class with its inverse.  Returns the verdict and each failing left
+    step, as a word pair; bounded to n <= 6.
     """
     if n > 6:
         raise ValueError("the exhaustive Bruhat comparison is bounded to n <= 6")

@@ -317,6 +317,15 @@ def test_poset_rejects_large_n(capsys):
     assert code == 2 and "error" in err
 
 
+def test_poset_gates_long_runs(capsys):
+    code, out, err = run_cli(capsys, "poset", "8")
+    assert code == 2 and "--allow-long" in err
+    assert out == ""
+    code, out, err = run_cli(capsys, "poset", "9", "--allow-long")
+    assert code == 2 and "1 <= n <= 8" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 

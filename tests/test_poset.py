@@ -1,12 +1,20 @@
+import functools
+import hashlib
+import json
 import os
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoposet.digraphs import from_perm, reverse, spanning_embeds
 from geoposet.geoequiv import enumerate_classes
 from geoposet.graphs import bits, is_closed, successors
 from geoposet.perms import all_permutations, inverse, inversion_set, parse
 from geoposet.poset import (
+    _embeds,
+    _shapes,
     bruhat_below,
     bruhat_covers,
     bruhat_extension_check,
@@ -179,6 +187,20 @@ def test_poset_json_matrix():
     assert obj["leq"][3] == [0, 0, 0, 1]
 
 
+def test_poset_json_covers_rebuild_the_rows(monkeypatch):
+    poset = build_poset(5)
+    assert "form" not in poset.to_json_obj()
+    monkeypatch.setattr("geoposet.poset.COMPACT_JSON_MIN_N", 5)
+    obj = json.loads(poset.to_json())
+    assert obj["form"] == "covers" and "leq" not in obj
+    assert obj["labels"] == list(poset.table.labels)
+    up = cover_masks(obj["covers"], len(obj["labels"]))
+    rows = [0] * len(up)
+    for i in reversed(range(len(up))):
+        rows[i] = 1 << i | successors(rows, up[i])
+    assert tuple(rows) == poset.leq
+
+
 def walk_covers(rows):
     """The oracle for the covers the fill records: walk every pair of the
     strict relation and keep those no other successor explains."""
@@ -275,6 +297,47 @@ def test_poset_equals_all_pairs_precedes(n):
     assert poset.covers == walk_covers(poset.leq)
 
 
+def ascending_scan(table):
+    """The oracle for ``build_poset``'s fill: rows from the last class up,
+    every class of a higher level visited in ascending index, a hit ORs in
+    the target's finished row.  A target already in the row is skipped, so
+    the hits are exactly the covers.  Returns the rows and the cover masks."""
+    counts = [c.inversions for c in table.classes]
+    shapes = [_shapes(c.representative) for c in table.classes]
+    size = len(shapes)
+    rows = [0] * size
+    covers = [0] * size
+    for i in reversed(range(size)):
+        row = 1 << i
+        for j in range(bisect_right(counts, counts[i]), size):
+            if not row >> j & 1 and _embeds(shapes[i][0], shapes[j]):
+                row |= rows[j]
+                covers[i] |= 1 << j
+        rows[i] = row
+    return rows, covers
+
+
+@functools.cache
+def cached_poset(n):
+    return build_poset(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_fill_equals_the_ascending_scan(n):
+    poset = cached_poset(n)
+    rows, covers = ascending_scan(poset.table)
+    assert poset.leq == tuple(rows)
+    assert poset.covers == tuple((i, j) for i, mask in enumerate(covers) for j in bits(mask))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1032), st.integers(0, 1032))
+def test_fill_agrees_with_precedes_at_n7(i, j):
+    poset = cached_poset(7)
+    classes = poset.table.classes
+    assert poset.is_leq(i, j) == precedes(classes[i], classes[j])
+
+
 def test_precedes_matches_digraph_route():
     # the Digraph route: equal keys, or a spanning embedding into D(target)
     # or into D(target) reversed
@@ -307,6 +370,27 @@ def test_n7_order_is_bounded_and_not_graded():
     assert (lo_inv, hi_inv) == (6, 8)
     assert lo == class_by_member(table, "1356274").label
     assert hi == class_by_member(table, "2561374").label
+
+
+@pytest.mark.skipif(
+    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
+    reason="the n = 8 order takes about 20 s; set GEOPOSET_ACCEPT_LONG=1",
+)
+def test_n8_order_is_bounded_and_not_graded():
+    poset = build_poset(8)
+    table = poset.table
+    assert poset.size == 7605
+    assert poset.is_bounded()
+    assert len(poset.covers) == 49475
+    assert hashlib.sha256(repr(poset.leq).encode()).hexdigest()[:16] == "6d5ded158c27d474"
+    graded, witnesses = is_graded(poset)
+    assert not graded
+    assert len(witnesses) == 1464
+    assert min(lo_inv for _, _, lo_inv, _ in witnesses) == 6
+    lo, hi, lo_inv, hi_inv = witnesses[0]
+    assert (lo_inv, hi_inv) == (6, 8)
+    assert lo == class_by_member(table, "12467385").label
+    assert hi == class_by_member(table, "13672485").label
 
 
 # ---------------------------------------------------------------------------
