@@ -252,20 +252,12 @@ class MaskDigraph(NamedTuple):
     # (out-degree, in-degree) of every vertex, descending: the matching test
     pairs: tuple[tuple[int, int], ...]
     order: tuple[int, ...]  # search order: decreasing total degree, then index
-    # at_least[a * n + b]: the vertices with out-degree >= a and in-degree >= b
-    at_least: tuple[int, ...]
 
     @classmethod
     def from_masks(cls, out: list[int], inn: list[int]) -> "MaskDigraph":
         odeg = tuple(m.bit_count() for m in out)
         ideg = tuple(m.bit_count() for m in inn)
-        n = len(out)
-        order = sorted(range(n), key=lambda v: (-(odeg[v] + ideg[v]), v))
-        at_least = [0] * (n * n)
-        for v in range(n):
-            for a in range(odeg[v] + 1):
-                for b in range(ideg[v] + 1):
-                    at_least[a * n + b] |= 1 << v
+        order = sorted(range(len(out)), key=lambda v: (-(odeg[v] + ideg[v]), v))
         return cls(
             tuple(out),
             tuple(inn),
@@ -273,19 +265,16 @@ class MaskDigraph(NamedTuple):
             ideg,
             tuple(sorted(zip(odeg, ideg), reverse=True)),
             tuple(order),
-            tuple(at_least),
         )
 
     def flipped(self) -> "MaskDigraph":
         """Every arc reversed; total degrees, hence the search order, stay."""
-        n = len(self.out)
         return self._replace(
             out=self.inn,
             inn=self.out,
             odeg=self.ideg,
             ideg=self.odeg,
             pairs=tuple(sorted(((b, a) for a, b in self.pairs), reverse=True)),
-            at_least=tuple(self.at_least[b * n + a] for a in range(n) for b in range(n)),
         )
 
 
@@ -320,45 +309,46 @@ def mask_embedding(small: MaskDigraph, big: MaskDigraph) -> Optional[list[int]]:
     """The spanning embedding search: a vertex bijection (image of v at
     index v) mapping every arc of small onto an arc of big, or None.
 
-    Backtracking over the vertices of small in ``small.order``; each goes to
-    the least free vertex of big that has at least its out- and in-degree
-    and has arcs to and from the images of its already placed neighbours.
-    The degree matching test rejects before any search.
+    Backtracking over the vertices of small in ``small.order``; each tries,
+    in ascending order, the free vertices of big that have arcs to and from
+    the images of its already placed neighbours (one mask intersection per
+    neighbour), skipping a target with less out- or in-degree than v.  The
+    degree matching test rejects before any search.
     """
     if not degrees_dominate(small, big):
         return None
     n = len(small.out)
     s_out, s_in, s_odeg, s_ideg, order = small.out, small.inn, small.odeg, small.ideg, small.order
-    b_out, b_in, at_least = big.out, big.inn, big.at_least
+    b_out, b_in, b_odeg, b_ideg = big.out, big.inn, big.odeg, big.ideg
     mapping = [0] * n
 
-    def place(idx: int, used: int, placed: int) -> bool:
+    def place(idx: int, unused: int, placed: int) -> bool:
         if idx == n:
             return True
         v = order[idx]
-        need_out = need_in = 0
+        free = unused
         m = s_out[v] & placed
         while m:
             low = m & -m
-            need_out |= 1 << mapping[low.bit_length() - 1]
+            free &= b_in[mapping[low.bit_length() - 1]]
             m ^= low
         m = s_in[v] & placed
         while m:
             low = m & -m
-            need_in |= 1 << mapping[low.bit_length() - 1]
+            free &= b_out[mapping[low.bit_length() - 1]]
             m ^= low
-        free = at_least[s_odeg[v] * n + s_ideg[v]] & ~used
+        odeg, ideg = s_odeg[v], s_ideg[v]
         while free:
             low = free & -free
             free ^= low
             w = low.bit_length() - 1
-            if b_out[w] & need_out == need_out and b_in[w] & need_in == need_in:
+            if b_odeg[w] >= odeg and b_ideg[w] >= ideg:
                 mapping[v] = w
-                if place(idx + 1, used | low, placed | 1 << v):
+                if place(idx + 1, unused ^ low, placed | 1 << v):
                     return True
         return False
 
-    return mapping if place(0, 0, 0) else None
+    return mapping if place(0, (1 << n) - 1, 0) else None
 
 
 def spanning_embeds(dsmall: Digraph, dbig: Digraph) -> Optional[dict[int, int]]:

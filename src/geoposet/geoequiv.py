@@ -186,7 +186,8 @@ class ClassTable:
     Classes are sorted by (inversion count, lexicographically least member)
     and labeled "k.m" with m counting within inversion count k.  Published
     tables use the same shape but may number classes differently, so
-    comparisons go through member sets, never labels.
+    comparisons go through member sets, never labels.  ``index`` maps the
+    word of every member to its class's index, and ``class_of`` reads it.
     """
 
     n: int
@@ -201,12 +202,13 @@ class ClassTable:
         return tuple(c.label for c in self.classes)
 
     @cached_property
-    def _class_index(self) -> dict[Permutation, GeoClass]:
-        return {m: c for c in self.classes for m in c.members}
+    def index(self) -> dict[tuple[int, ...], int]:
+        """The index of the class of every member, keyed by its word."""
+        return {m.word: k for k, c in enumerate(self.classes) for m in c.members}
 
     def class_of(self, p: Permutation) -> GeoClass:
         try:
-            return self._class_index[p]
+            return self.classes[self.index[p.word]]
         except KeyError:
             raise KeyError(f"{p} is not a member of any class (n mismatch?)") from None
 
@@ -228,12 +230,18 @@ class ClassTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ClassTable":
+        """The table ``to_json_obj`` wrote; raises ValueError unless the
+        members are the n! words of S_n, each once, and every class's
+        representative is its first member."""
         from .perms import parse
 
+        n = int(obj["n"])
         classes = []
         for item in obj["classes"]:
             members = tuple(parse(w) for w in item["members"])
             rep = parse(item["representative"])
+            if members[:1] != (rep,):
+                raise ValueError(f"representative {rep} is not the first member of its class")
             classes.append(
                 GeoClass(
                     label=item["label"],
@@ -243,7 +251,12 @@ class ClassTable:
                     key=class_key(rep),
                 )
             )
-        return cls(int(obj["n"]), tuple(classes))
+        words = {m.word for c in classes for m in c.members}
+        if n > ENUMERATION_MAX_N or any(len(w) != n for w in words) or not (
+            sum(c.size for c in classes) == len(words) == math.factorial(n)
+        ):
+            raise ValueError(f"the class members are not the words of S_{n}, each once")
+        return cls(n, tuple(classes))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=False)
@@ -283,9 +296,10 @@ def enumerate_classes(n: int) -> ClassTable:
     lexicographically smaller word of each orbit is keyed, and its key is
     stored under both words; at n = 8 that is 20 542 keys for 40 320 words.
 
-    From ``POOL_MIN_WORDS`` words on (n = 9), and only with more than one
-    CPU, a pool of one process per CPU keys chunks of orbit
-    representatives; the output is byte-identical either way.
+    From ``POOL_MIN_WORDS`` words on (n = 9), and only when this process
+    may run on more than one CPU, a pool of one process per such CPU keys
+    chunks of orbit representatives; the output is byte-identical either
+    way.
     Refuses n outside 1..9: the scan is exact and the factorial growth makes
     larger n a different project.
     """
@@ -296,7 +310,8 @@ def enumerate_classes(n: int) -> ClassTable:
     words = list(itertools.permutations(range(1, n + 1)))
     total = len(words)
     reps = [w for w in words if w <= _rc_inverse(w)]
-    workers = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     if workers < 2 or total < POOL_MIN_WORDS:
         keys = [_word_key(w) for w in reps]
     else:

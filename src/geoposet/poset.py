@@ -42,12 +42,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import Literal, Optional
+from typing import Iterator, Literal, Optional
 
 from .digraphs import MaskDigraph, mask_embedding
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
 from .graphs import bits, successors
-from .perms import Permutation, all_permutations, inverse, inverse_word, word_masks
+from .perms import Permutation, inverse, inverse_word, word_masks
 # Not called here; perfbench/spans.py wraps these names on this module.
 from .digraphs import from_perm, spanning_embeds  # noqa: F401
 from .perms import inversion_set  # noqa: F401
@@ -86,8 +86,7 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
         return True
     if c_sigma.inversions >= c_pi.inversions:
         return False
-    source = MaskDigraph.from_masks(*word_masks(c_sigma.representative.word))
-    return _embeds(source, _shapes(c_pi.representative))
+    return _embeds(_shapes(c_sigma.representative)[0], _shapes(c_pi.representative))
 
 
 @dataclass(frozen=True)
@@ -184,13 +183,14 @@ def build_poset(source: "int | ClassTable") -> Poset:
     counts = [c.inversions for c in table.classes]
     shapes = [_shapes(c.representative) for c in table.classes]
     size = len(shapes)
-    up = _weak_covers(table)
+    up = [0] * size
     below = [0] * size
+    for i, j, _, _ in _left_cover_steps(table):
+        up[i] |= 1 << j
+        below[j] |= 1 << i
     floor = [0] * size
     for i in reversed(range(size)):
         floor[i] = 1 << i | successors(floor, up[i])
-        for j in bits(up[i]):
-            below[j] |= 1 << i
     rows = [0] * size
     hits = [0] * size
     everything = (1 << size) - 1
@@ -209,18 +209,6 @@ def build_poset(source: "int | ClassTable") -> Poset:
         above = reduce(or_, (rows[c] ^ 1 << c for c in bits(candidates)), 0)
         covers.append(candidates & ~above)
     return checked_poset(table, rows, covers)
-
-
-def _weak_covers(table: ClassTable) -> list[int]:
-    """Bit j of entry i: a member of class j is a left weak-order cover of
-    a member of class i."""
-    index = {m.word: k for k, c in enumerate(table.classes) for m in c.members}
-    up = [0] * table.count
-    for k, c in enumerate(table.classes):
-        for m in c.members:
-            for w in _left_steps(m.word):
-                up[k] |= 1 << index[w]
-    return up
 
 
 def checked_poset(table: ClassTable, rows: list[int], covers: list[int]) -> Poset:
@@ -335,6 +323,18 @@ def _left_steps(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
+def _left_cover_steps(
+    table: ClassTable,
+) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """Every left weak-order cover w of every member word m of the table, as
+    (class index of m, class index of w, m, w)."""
+    index = table.index
+    for i, c in enumerate(table.classes):
+        for m in c.members:
+            for w in _left_steps(m.word):
+                yield i, index[w], m.word, w
+
+
 def _inversions_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """E(a) within E(b), compared as out-masks."""
     return all(x & ~y == 0 for x, y in zip(word_masks(a)[0], word_masks(b)[0]))
@@ -361,16 +361,16 @@ def bruhat_extension_check(
     within E(pi), or of the inverses, yields precedence exactly when every
     cover step of either order does.  The left steps suffice: a right cover
     p -> q is the left cover p⁻¹ -> q⁻¹ inverted, and a word shares its
-    class with its inverse.  Returns the verdict and each failing left
-    step, as a word pair; bounded to n <= 6.
+    class with its inverse.  The steps are ``_left_cover_steps``, the walk
+    ``build_poset`` takes its weak covers from.  Returns the verdict and
+    each failing left step, as a word pair; bounded to n <= 6.
     """
     if n > 6:
         raise ValueError("the exhaustive Bruhat comparison is bounded to n <= 6")
     poset = poset if poset is not None else build_poset(n)
-    index = {m: k for k, c in enumerate(poset.table.classes) for m in c.members}
-    failures = []
-    for p in all_permutations(n):
-        for q in bruhat_covers(p, "left"):
-            if not poset.is_leq(index[p], index[q]):
-                failures.append((str(p), str(q)))
-    return not failures, tuple(failures)
+    failures = tuple(
+        (str(Permutation(m)), str(Permutation(w)))
+        for i, j, m, w in _left_cover_steps(poset.table)
+        if not poset.is_leq(i, j)
+    )
+    return not failures, failures

@@ -74,7 +74,7 @@ def test_enumerate_pool_does_not_change_output(capsys, monkeypatch):
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr("geoposet.geoequiv.POOL_MIN_WORDS", 0)
     code1, out1, _ = run_cli(capsys, "enumerate", "5", "--no-cache")
     assert pools == [(2,)]
@@ -177,6 +177,42 @@ def test_cache_payload_of_the_wrong_shape_is_a_miss():
         }
         path.write_text(json.dumps(entry))
         assert load_cached_table(3) is None, payload
+
+
+def s2_words_as_n3():
+    payload = enumerate_classes(2).to_json_obj()
+    payload["n"] = 3
+    return payload
+
+
+def s3_with_two_classes_swapped():
+    payload = enumerate_classes(3).to_json_obj()
+    one, two = payload["classes"][1:3]
+    one["members"], two["members"] = two["members"], one["members"]
+    return payload
+
+
+@pytest.mark.parametrize("make", [s2_words_as_n3, s3_with_two_classes_swapped])
+def test_cache_payload_that_is_not_a_table_of_s3_is_a_miss(capsys, make):
+    from geoposet.cli import CACHE_SCHEMA_VERSION, _cache_path, _digest
+    from geoposet.geoequiv import ClassTable
+
+    payload = make()
+    with pytest.raises(ValueError):
+        ClassTable.from_json_obj(payload)
+    entry = {
+        "schema_version": CACHE_SCHEMA_VERSION,
+        "n": 3,
+        "digest": _digest(payload),
+        "table": payload,
+    }
+    path = _cache_path(3)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(entry))
+    assert load_cached_table(3) is None
+    code, out, _ = run_cli(capsys, "enumerate", "3")
+    assert code == 0
+    assert out == run_cli(capsys, "enumerate", "3", "--no-cache")[1]
 
 
 def test_concurrent_saves_all_succeed(isolated_cache):

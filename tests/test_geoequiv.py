@@ -250,6 +250,15 @@ def test_enumerate_keys_one_word_per_orbit(monkeypatch):
     assert len(keyed) == len(orbits) == 398
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_index_holds_every_word_once(n):
+    table = enumerate_classes(n)
+    words = list(itertools.permutations(range(1, n + 1)))
+    assert sorted(table.index) == words
+    for w, k in table.index.items():
+        assert table.class_of(Permutation(w)) is table.classes[k]
+
+
 def test_class_of_rejects_non_members():
     table = enumerate_classes(4)
     with pytest.raises(KeyError) as excinfo:
@@ -266,7 +275,7 @@ def test_enumerate_worker_count_does_not_change_output(monkeypatch):
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = enumerate_classes(6).to_json()
     assert pools == []
     # n = 6 is below the pool threshold; lower it so the pool really runs
@@ -274,6 +283,18 @@ def test_enumerate_worker_count_does_not_change_output(monkeypatch):
     parallel = enumerate_classes(6).to_json()
     assert pools == [(2,)]
     assert serial == parallel
+
+
+def test_no_pool_on_one_usable_cpu(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    # the host has more CPUs than this process may run on
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(geoequiv, "POOL_MIN_WORDS", 0)
+    assert enumerate_classes(5).count == 39
 
 
 SPAWNED_POOL = """
@@ -293,7 +314,7 @@ if __name__ == "__main__":
     mp.set_start_method("spawn")
     # the spawn Popen overrides _launch; only a forking pool reaches this
     multiprocessing.popen_fork.Popen._launch = no_fork
-    os.cpu_count = lambda: 2
+    os.sched_getaffinity = lambda pid: {0, 1}
     table = enumerate_classes(6)
     # n = 6 is below the pool threshold; lower it so the pool really runs
     geoequiv.POOL_MIN_WORDS = 0

@@ -281,7 +281,7 @@ def test_no_pool_below_the_thresholds(monkeypatch):
         raise AssertionError("a worker pool started")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     table = enumerate_classes(6)
     # build_poset starts no pool at any size
     assert build_poset(table).size == 182
