@@ -81,7 +81,7 @@ def load_cached_table(n: int) -> Optional[ClassTable]:
     path = _cache_path(n)
     try:
         entry = json.loads(path.read_text())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(entry, dict) or entry.get("schema_version") != CACHE_SCHEMA_VERSION:
         return None

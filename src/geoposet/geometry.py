@@ -5,6 +5,13 @@ A realization places the two apexes a and b and one spoke vertex per label
 exact orientation predicates, so the combinatorial statements the library
 is built on are checked with no floating-point slack.
 
+Each public call computes one table of orientation signs: the side of the
+line ab that each spoke s_i lies on, and for each apex the sign of
+orient(apex, s_i, s_j) for every pair of spokes.  The general-position
+check, the crossings and the recovery order all read that table.  The edge
+b-i crosses the edge a-j exactly when s_i comes before s_j around b and
+after it around a, so crossings are inversions.
+
 ``build_realization`` lays a permutation out on a template: both apexes sit
 on the x-axis and each sends a fan of rays into the upper half-plane, the
 b-fan right-leaning and the a-fan left-leaning so that every b-ray meets
@@ -23,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable
 
 from .perms import Pair, PairSet, Permutation
@@ -71,15 +79,15 @@ class Realization:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Realization":
-        labels = sorted(int(k) for k in obj["vertices"])
-        if labels != list(range(1, len(labels) + 1)):
+        vertices = obj["vertices"]
+        labels = [str(i) for i in range(1, len(vertices) + 1)]
+        if set(vertices) != set(labels):
             raise ValueError("vertex labels must be 1..n")
         return cls(
             a=tuple(_parse_fraction(c) for c in obj["a"]),
             b=tuple(_parse_fraction(c) for c in obj["b"]),
             spokes=tuple(
-                tuple(_parse_fraction(c) for c in obj["vertices"][str(i)])
-                for i in labels
+                tuple(_parse_fraction(c) for c in vertices[label]) for label in labels
             ),
         )
 
@@ -106,15 +114,42 @@ def orient(p: Point, q: Point, r: Point) -> Fraction:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
-def _segments_cross(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """Strict open-segment intersection; zero orientations are degenerate."""
-    o1 = orient(p1, p2, q1)
-    o2 = orient(p1, p2, q2)
-    o3 = orient(q1, q2, p1)
-    o4 = orient(q1, q2, p2)
-    if 0 in (o1, o2, o3, o4):
-        raise GeneralPositionError("collinear segment endpoints in crossing test")
-    return (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0)
+def _signs(r: Realization) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """The orientation signs every predicate of this module reads.
+
+    Returns ``side`` and the tables ``at_b`` and ``at_a``, all 0-based:
+    ``side[i]`` is the sign of orient(b, a, s_i), and ``at_apex[i][j]`` the
+    sign of orient(apex, s_i, s_j), antisymmetric with a zero diagonal.
+    Raises ``GeneralPositionError`` at the first zero among them, after
+    rejecting coinciding apexes or points (see ``validate_general_position``).
+    """
+    if r.a == r.b:
+        raise GeneralPositionError("apexes coincide")
+    pts = [r.a, r.b, *r.spokes]
+    if len(set(pts)) != len(pts):
+        raise GeneralPositionError("coincident points")
+    side = []
+    for i, p in enumerate(r.spokes, start=1):
+        o = orient(r.b, r.a, p)
+        if o == 0:
+            raise GeneralPositionError(f"spoke {i} lies on the line through the apexes")
+        side.append(1 if o > 0 else -1)
+    tables = []
+    for apex_name, (x0, y0) in (("b", r.b), ("a", r.a)):
+        vs = [(x - x0, y - y0) for x, y in r.spokes]
+        t = [[0] * r.n for _ in range(r.n)]
+        for i in range(r.n):
+            for j in range(i + 1, r.n):
+                # orient(apex, s_i, s_j), from the vectors out of the apex
+                o = vs[i][0] * vs[j][1] - vs[i][1] * vs[j][0]
+                if o == 0:
+                    raise GeneralPositionError(
+                        f"spokes {i + 1} and {j + 1} are collinear with apex {apex_name}"
+                    )
+                t[i][j] = 1 if o > 0 else -1
+                t[j][i] = -t[i][j]
+        tables.append(t)
+    return side, tables[0], tables[1]
 
 
 def validate_general_position(r: Realization) -> None:
@@ -125,21 +160,7 @@ def validate_general_position(r: Realization) -> None:
     spokes alone never affect K_{2,n} edges (spokes are never adjacent), so
     they are not rejected.
     """
-    if r.a == r.b:
-        raise GeneralPositionError("apexes coincide")
-    pts = [r.a, r.b, *r.spokes]
-    if len(set(pts)) != len(pts):
-        raise GeneralPositionError("coincident points")
-    for i, p in enumerate(r.spokes, start=1):
-        if orient(r.b, r.a, p) == 0:
-            raise GeneralPositionError(f"spoke {i} lies on the line through the apexes")
-    for apex_name, apex in (("b", r.b), ("a", r.a)):
-        for i in range(1, r.n + 1):
-            for j in range(i + 1, r.n + 1):
-                if orient(apex, r.spoke(i), r.spoke(j)) == 0:
-                    raise GeneralPositionError(
-                        f"spokes {i} and {j} are collinear with apex {apex_name}"
-                    )
+    _signs(r)
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +212,20 @@ def build_realization(p: Permutation) -> Realization:
 
 
 def crossing_pairs(r: Realization) -> list[Pair]:
-    """All (i, j) with the edge b-i crossing the edge a-j, any label order."""
-    validate_general_position(r)
-    out = []
-    for i in range(1, r.n + 1):
-        for j in range(1, r.n + 1):
-            if i == j:
-                continue
-            if _segments_cross(r.b, r.spoke(i), r.a, r.spoke(j)):
-                out.append((i, j))
-    return sorted(out)
+    """All (i, j) with the edge b-i crossing the edge a-j, any label order.
+
+    The four orientations of the segment test are, up to sign, side[i],
+    at_b[i][j], side[j] and at_a[i][j]: b-i crosses a-j exactly when s_i
+    comes before s_j around b and after it around a.  The zero diagonal
+    never matches a side, so i = j drops out.
+    """
+    side, at_b, at_a = _signs(r)
+    return [
+        (i + 1, j + 1)
+        for i in range(r.n)
+        for j in range(r.n)
+        if at_b[i][j] == side[i] and at_a[i][j] == side[j]
+    ]
 
 
 def crossings(r: Realization) -> PairSet:
@@ -225,25 +250,6 @@ def crossings(r: Realization) -> PairSet:
 # recovery
 
 
-def _angular_order(apex: Point, toward: Point, points: list[tuple[int, Point]]) -> list[int]:
-    """Labels sorted by increasing angle at ``apex`` measured from the ray
-    toward ``toward``; all points must lie strictly off that base line."""
-    d = (toward[0] - apex[0], toward[1] - apex[1])
-    keyed = []
-    for label, pt in points:
-        v = (pt[0] - apex[0], pt[1] - apex[1])
-        cross = d[0] * v[1] - d[1] * v[0]
-        dot = d[0] * v[0] + d[1] * v[1]
-        if cross == 0:
-            raise GeneralPositionError(f"vertex {label} lies on the apex line")
-        # angle in (0, pi) on either side; cot is strictly decreasing there
-        keyed.append((-dot / abs(cross), label))
-    keyed.sort()
-    if any(keyed[k][0] == keyed[k + 1][0] for k in range(len(keyed) - 1)):
-        raise GeneralPositionError("two vertices at equal angle")
-    return [label for _, label in keyed]
-
-
 def recover_with_relabeling(
     r: Realization, positive_side_first: bool = True
 ) -> tuple[Permutation, dict[int, int]]:
@@ -253,27 +259,20 @@ def recover_with_relabeling(
     angle at b, the rest t+1..n likewise; the word lists, block by block,
     the new labels in increasing order of angle at a.  Returns the
     permutation together with the old-label -> new-label map.
-    """
-    validate_general_position(r)
-    sides: dict[bool, list[tuple[int, Point]]] = {True: [], False: []}
-    for label in range(1, r.n + 1):
-        pt = r.spoke(label)
-        sides[orient(r.b, r.a, pt) > 0].append((label, pt))
-    first = sides[positive_side_first]
-    second = sides[not positive_side_first]
 
+    On side s of ab, s_i comes before s_j around b when at_b[i][j] == s and
+    around a when at_a[i][j] == -s (the angle at a turns the other way).
+    """
+    side, at_b, at_a = _signs(r)
+    first = 1 if positive_side_first else -1
     relabel: dict[int, int] = {}
     word: list[int] = []
-    next_label = 1
-    for block in (first, second):
-        if not block:
-            continue
-        by_b = _angular_order(r.b, r.a, block)
-        for old in by_b:
-            relabel[old] = next_label
-            next_label += 1
-        by_a = _angular_order(r.a, r.b, block)
-        word.extend(relabel[old] for old in by_a)
+    for s in (first, -first):
+        block = [i for i in range(r.n) if side[i] == s]
+        for old in sorted(block, key=cmp_to_key(lambda i, j: -s * at_b[i][j])):
+            relabel[old + 1] = len(relabel) + 1
+        by_a = sorted(block, key=cmp_to_key(lambda i, j: s * at_a[i][j]))
+        word.extend(relabel[old + 1] for old in by_a)
     return Permutation(tuple(word)), relabel
 
 

@@ -133,6 +133,19 @@ def test_cache_garbage_is_ignored(tmp_path, monkeypatch):
     assert load_cached_table(3) is None
 
 
+def test_cache_entry_nested_too_deep_to_parse_is_a_miss(capsys):
+    from geoposet.cli import _cache_path
+
+    path = _cache_path(3)
+    path.parent.mkdir(parents=True)
+    path.write_text("[" * 200_000)  # json.loads raises RecursionError
+    assert load_cached_table(3) is None
+    code1, out1, _ = run_cli(capsys, "enumerate", "3")
+    code2, out2, _ = run_cli(capsys, "enumerate", "3", "--no-cache")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_cache_entry_that_is_not_an_object_is_a_miss(capsys):
     from geoposet.cli import _cache_path
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoposet.geoequiv import class_key
 from geoposet.geometry import (
@@ -47,7 +49,7 @@ def test_template_full_reversal_crosses_everywhere():
     assert len(crossings(build_realization(parse("54321")))) == 10
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_template_crossings_equal_inversion_sets(n):
     for p in all_permutations(n):
         r = build_realization(p)
@@ -76,7 +78,7 @@ def test_template_no_spoke_triples_collinear():
 # recovery protocol
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_recover_inverts_template(n):
     for p in all_permutations(n):
         assert recover_permutation(build_realization(p)) == p
@@ -136,6 +138,78 @@ def test_two_sided_realization_has_no_cross_side_crossings():
 
 
 # ---------------------------------------------------------------------------
+# differential tests against the literal segment test
+
+
+def segments_cross(p1, p2, q1, q2):
+    """Strict open-segment intersection from four orientations; a zero
+    orientation is a degeneracy."""
+    o1 = orient(p1, p2, q1)
+    o2 = orient(p1, p2, q2)
+    o3 = orient(q1, q2, p1)
+    o4 = orient(q1, q2, p2)
+    if 0 in (o1, o2, o3, o4):
+        raise GeneralPositionError("collinear segment endpoints in crossing test")
+    return (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0)
+
+
+def oracle_crossing_pairs(r):
+    """Every (i, j), i != j, with b-i crossing a-j, one segment test a pair.
+
+    With two or more spokes the segment tests meet every degeneracy the
+    general-position check rejects; the line check covers a single spoke.
+    """
+    if any(orient(r.b, r.a, s) == 0 for s in r.spokes):
+        raise GeneralPositionError("a spoke on the line through the apexes")
+    return [
+        (i, j)
+        for i in range(1, r.n + 1)
+        for j in range(1, r.n + 1)
+        if i != j and segments_cross(r.b, r.spoke(i), r.a, r.spoke(j))
+    ]
+
+
+@st.composite
+def small_realizations(draw):
+    """Rational point sets on a grid: the narrow spreads make coinciding
+    points and collinear triples common, the wide ones general position."""
+    spread = draw(st.sampled_from([2, 4, 20, 200]))
+    coord = st.builds(
+        Fraction, st.integers(-spread, spread), st.sampled_from([1, 2, 3])
+    )
+    point = st.tuples(coord, coord)
+    n = draw(st.integers(1, 7))
+    return Realization(
+        a=draw(point), b=draw(point), spokes=tuple(draw(point) for _ in range(n))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_realizations())
+def test_crossing_pairs_match_the_segment_test(r):
+    try:
+        expected = oracle_crossing_pairs(r)
+    except GeneralPositionError:
+        with pytest.raises(GeneralPositionError):
+            crossing_pairs(r)
+    else:
+        assert crossing_pairs(r) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_realizations(), st.booleans())
+def test_recovered_word_spells_the_relabeled_crossings(r, side):
+    try:
+        oracle_crossing_pairs(r)
+    except GeneralPositionError:
+        with pytest.raises(GeneralPositionError):
+            recover_with_relabeling(r, side)
+        return
+    q, relab = recover_with_relabeling(r, side)
+    assert set(oracle_crossing_pairs(relabeled(r, relab))) == inversion_set(q).pairs
+
+
+# ---------------------------------------------------------------------------
 # degeneracies
 
 
@@ -186,9 +260,11 @@ def test_json_round_trip():
 
 def test_json_rejects_bad_labels():
     obj = build_realization(parse("21")).to_json_obj()
-    obj["vertices"] = {"1": obj["vertices"]["1"], "3": obj["vertices"]["2"]}
-    with pytest.raises(ValueError):
-        Realization.from_json_obj(obj)
+    one, two = obj["vertices"]["1"], obj["vertices"]["2"]
+    for vertices in ({"1": one, "3": two}, {"01": one, "2": two}):
+        obj["vertices"] = vertices
+        with pytest.raises(ValueError):
+            Realization.from_json_obj(obj)
 
 
 def test_svg_renders_with_crossing_markers():

@@ -250,6 +250,29 @@ def test_count_matches_enumeration_on_random_graphs():
         )
 
 
+def test_count_matches_enumeration_on_every_graph_through_five_vertices():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, frozenset(e for k, e in enumerate(pairs) if mask >> k & 1))
+            assert count_transitive_orientations(g) == len(
+                enumerate_transitive_orientations(g)
+            ), sorted(g.edges)
+
+
+@pytest.mark.parametrize(
+    "g, count",
+    [
+        (path_graph(11), 2),
+        (cycle_graph(11), 0),
+        (inversion_graph(parse("2,4,1,6,3,8,5,10,7,11,9")), 2),
+    ],
+)
+def test_count_past_the_enumeration_bound(g, count):
+    # enumerate_transitive_orientations refuses n > 10; the count does not
+    assert count_transitive_orientations(g) == count
+
+
 def test_prime_unique_orientability():
     assert prime_unique_orientability_check(complete_graph(5))
     assert prime_unique_orientability_check(cycle_graph(5))
