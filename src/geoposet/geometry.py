@@ -79,7 +79,9 @@ class Realization:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Realization":
-        vertices = obj["vertices"]
+        vertices = obj.get("vertices") if isinstance(obj, dict) else None
+        if not isinstance(vertices, dict):
+            raise ValueError("a realization is an object with a 'vertices' object")
         labels = [str(i) for i in range(1, len(vertices) + 1)]
         if set(vertices) != set(labels):
             raise ValueError("vertex labels must be 1..n")

@@ -26,9 +26,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
-from .digraphs import enumerate_transitive_orientations
 from .geoequiv import _word_key
 from .graphs import Graph, bits, components_within, inversion_graph
 from .perms import Permutation, inverse_word
@@ -213,15 +212,13 @@ def count_transitive_orientations(g: Graph) -> int:
     return total
 
 
-def _prime_is_orientable(q: Graph) -> bool:
-    """Whether a prime quotient has a transitive orientation (then exactly 2).
+def _forced_arcs(q: Graph) -> Optional[list[int]]:
+    """The arcs forced by orienting the first edge of q, as out-masks
+    (0-based), or None when they force both directions of some edge.
 
     Gallai forcing: an arc x -> y forces x -> z for each z adjacent to x but
-    not to y, and z -> y for each z adjacent to y but not to x.  In a prime
-    graph the arcs forced by one oriented edge cover every edge, and unless
-    they force both directions of some edge they are transitive (Gallai
-    1967): that orientation and its reverse are the only two.  Both facts
-    are asserted.
+    not to y, and z -> y for each z adjacent to y but not to x.  Every
+    transitive orientation holding the first arc holds all the forced arcs.
     """
     adjacency = q.adjacency_masks()
     out = [0] * q.n
@@ -230,18 +227,34 @@ def _prime_is_orientable(q: Graph) -> bool:
     while stack:
         x, y = stack.pop()
         if out[y] >> x & 1:
-            return False
+            return None
         if out[x] >> y & 1:
             continue
         out[x] |= 1 << y
         stack.extend((x, z) for z in bits(adjacency[x] & ~adjacency[y] & ~(1 << y)))
         stack.extend((z, y) for z in bits(adjacency[y] & ~adjacency[x] & ~(1 << x)))
-    assert sum(bin(o).count("1") for o in out) == len(q.edges), (
-        "forcing from one edge covers a prime graph"
+    return out
+
+
+def _orients(q: Graph, out: list[int]) -> bool:
+    """Do the arcs ``out`` cover every edge of q, transitively?"""
+    return sum(o.bit_count() for o in out) == len(q.edges) and all(
+        out[y] & ~out[x] == 0 for x in range(q.n) for y in bits(out[x])
     )
-    assert all(out[y] & ~out[x] == 0 for x in range(q.n) for y in bits(out[x])), (
-        "conflict-free forcing in a prime graph is transitive"
-    )
+
+
+def _prime_is_orientable(q: Graph) -> bool:
+    """Whether a prime quotient has a transitive orientation (then exactly 2).
+
+    In a prime graph the arcs forced by one oriented edge cover every edge,
+    and unless they force both directions of some edge they are transitive
+    (Gallai 1967): that orientation and its reverse are the only two.  Both
+    facts are asserted.
+    """
+    out = _forced_arcs(q)
+    if out is None:
+        return False
+    assert _orients(q, out), "conflict-free forcing orients a prime graph transitively"
     return True
 
 
@@ -253,14 +266,19 @@ def is_cograph(g: Graph) -> bool:
 def prime_unique_orientability_check(g: Graph) -> bool:
     """Every prime quotient admits 0 or exactly 2 transitive orientations.
 
-    A test oracle for the uniqueness property; vacuously true without prime
+    Decided by Gallai forcing from one edge of each prime quotient, at any
+    size: if the forced arcs conflict, no orientation holds that edge
+    either way, so there are 0; if they orient the whole quotient
+    transitively, that orientation and its reverse are the only 2.  Returns
+    False when the forced arcs do neither.  Vacuously true without prime
     nodes.
     """
     tree = decompose(g)
     for node in tree.internal_nodes():
         if node.kind is NodeKind.PRIME:
-            count = len(enumerate_transitive_orientations(quotient_graph(g, node)))
-            if count not in (0, 2):
+            q = quotient_graph(g, node)
+            out = _forced_arcs(q)
+            if out is not None and not _orients(q, out):
                 return False
     return True
 

@@ -16,11 +16,14 @@ is the floor, a part of the order that costs no search.  The right covers
 add nothing: they are the left covers of the inverses, inverted, and a word
 shares its class with its inverse.  Each row starts as its floor row, and
 only the classes the floor leaves open are decided by an embedding search
-(see ``build_poset``).  Each representative's digraph is built once, as
-adjacency masks straight from the word, together with its arc reversal
-(isomorphic to the inverse's digraph).  ``mask_embedding`` rejects a pair
-before it searches at all when no bijection gives every source vertex a
-target with at least its out- and in-degree.
+(see ``build_poset``).  Each decision settles others through the floor: a
+hit brings in the target's floor row, and a miss rules out every class the
+floor puts below the target (the miss cascade).  Each representative's
+digraph is built once, as adjacency masks straight from the word, together
+with its arc reversal (isomorphic to the inverse's digraph).
+``mask_embedding`` rejects a pair before it searches at all when no
+bijection gives every source vertex a target with at least its out- and
+in-degree.
 
 Classes are indexed in ascending inversion count, and row i holds only
 classes of higher levels besides i, so every row is upper-triangular: it
@@ -156,28 +159,35 @@ def build_poset(source: "int | ClassTable") -> Poset:
     Floor.  ``up[i]`` holds the classes of the left weak-order covers of
     the members of class i, and ``below`` is its reverse.  Closing ``up``
     from the last row down gives ``floor[i]``, which lies within the true
-    row i: inversion-set containment is the identity embedding.
+    row i: inversion-set containment is the identity embedding.  Closing
+    ``below`` from the first row up gives the floor's columns: ``col[j]``
+    holds the classes whose floor row holds j.
 
     Fill.  Rows are filled in ascending index, each seeded with its floor
     row.  A class j above i is also above every class k below i, and every
     k in ``below[i]`` has a smaller index, so its row is finished.  The
     candidates are therefore the classes of higher inversion count that lie
-    in ``rows[k]`` for every such k.  They are visited in ascending index;
-    one already in the row is skipped, and a hit (the candidate embeds) ORs
-    in the candidate's floor row, since embeddings compose.  Every bit the
-    fill sets is a true relation, and every true successor of i is a
-    candidate that is either tested or already in the row, so the row is
-    exact.
+    in ``rows[k]`` for every such k.  Those the floor row leaves open are
+    the row's unknowns, and each decision settles a cascade of them, since
+    embeddings compose.  A hit (i embeds into j) puts the floor row of j
+    in the row and clears it from the unknowns.  A miss clears the floor's
+    column of j: the classes the floor puts below j, none of which lies
+    above i either.  The next unknown is taken alternately from the low end
+    and the high end of the mask, starting low in each row, so that both
+    cascades bite: hits low down and misses high up clear the most.  A hit
+    clears only classes above i and a miss only classes that are not, so
+    every candidate ends up in the row exactly when it lies above i: the
+    row is exact, in any order of decisions.
 
     Covers.  Let the candidates of i now be ``up[i]`` and the hits of row
-    i.  Every class j in row i other than i lies in the row of one of them:
-    in the floor row of a weak cover, or in the floor row of a hit.  If j
-    covers i, that candidate can only be j itself, and j lies in no other
-    candidate's row.  Conversely, if a candidate c does not cover i, some k
-    lies strictly between i and c; k lies in the row of a candidate c' with
-    c' <= k < c, so c lies in the row of c' != c.  So the covers of i are
-    the candidates that no other candidate's finished row contains.  The
-    rows and covers go to ``checked_poset``.
+    i.  Every class j in row i other than i lies in the floor row of one
+    of them, and so in its finished row.  If j covers i, that candidate can
+    only be j itself, and j lies in no other candidate's row.  Conversely,
+    if a candidate c does not cover i, some k lies strictly between i and
+    c; k lies in the row of a candidate c' with c' <= k < c, so c lies in
+    the row of c' != c.  So the covers of i are the candidates that no
+    other candidate's finished row contains, whatever order the unknowns
+    were decided in.  The rows and covers go to ``checked_poset``.
     """
     table = enumerate_classes(source) if isinstance(source, int) else source
     counts = [c.inversions for c in table.classes]
@@ -191,6 +201,9 @@ def build_poset(source: "int | ClassTable") -> Poset:
     floor = [0] * size
     for i in reversed(range(size)):
         floor[i] = 1 << i | successors(floor, up[i])
+    col = [0] * size
+    for j in range(size):
+        col[j] = 1 << j | successors(col, below[j])
     rows = [0] * size
     hits = [0] * size
     everything = (1 << size) - 1
@@ -198,11 +211,17 @@ def build_poset(source: "int | ClassTable") -> Poset:
         row = floor[i]
         first = bisect_right(counts, counts[i])
         higher = everything >> first << first
-        candidates = reduce(and_, (rows[k] for k in bits(below[i])), higher)
-        for j in bits(candidates & ~row):
-            if not row >> j & 1 and _embeds(shapes[i][0], shapes[j]):
+        unknown = reduce(and_, (rows[k] for k in bits(below[i])), higher) & ~row
+        high = False
+        while unknown:
+            j = unknown.bit_length() - 1 if high else (unknown & -unknown).bit_length() - 1
+            high = not high
+            if _embeds(shapes[i][0], shapes[j]):
                 row |= floor[j]
                 hits[i] |= 1 << j
+                unknown &= ~floor[j]
+            else:
+                unknown &= ~col[j]
         rows[i] = row
     covers = []
     for candidates in map(or_, up, hits):

@@ -267,6 +267,21 @@ def test_json_rejects_bad_labels():
             Realization.from_json_obj(obj)
 
 
+def with_vertices(vertices):
+    obj = build_realization(parse("21")).to_json_obj()
+    obj["vertices"] = vertices
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [with_vertices(["1"]), with_vertices([["0", "1"]]), with_vertices(5), [["0", "1"]], 5],
+)
+def test_json_rejects_malformed_objects(obj):
+    with pytest.raises(ValueError):
+        Realization.from_json_obj(obj)
+
+
 def test_svg_renders_with_crossing_markers():
     svg = render_svg(build_realization(parse("2431")))
     assert svg.startswith("<svg") and svg.endswith("</svg>")

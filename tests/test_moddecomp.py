@@ -281,6 +281,31 @@ def test_prime_unique_orientability():
         assert prime_unique_orientability_check(inversion_graph(p))
 
 
+def enumerated_uniqueness_check(g):
+    """The oracle for ``prime_unique_orientability_check``: enumerate the
+    transitive orientations of every prime quotient (n <= 10)."""
+    return all(
+        len(enumerate_transitive_orientations(quotient_graph(g, node))) in (0, 2)
+        for node in decompose(g).internal_nodes()
+        if node.kind is NodeKind.PRIME
+    )
+
+
+def test_prime_unique_orientability_matches_enumeration():
+    graphs = [cycle_graph(5), complete_graph(5), path_graph(4)]
+    graphs += [inversion_graph(p) for n in range(1, 7) for p in all_permutations(n)]
+    rng = random.Random(17)
+    graphs += [random_graph(rng, rng.randint(1, 7), 0.5) for _ in range(40)]
+    for g in graphs:
+        assert prime_unique_orientability_check(g) == enumerated_uniqueness_check(g)
+
+
+@pytest.mark.parametrize("n", [11, 14])
+def test_prime_unique_orientability_past_the_enumeration_bound(n):
+    assert decompose(path_graph(n)).root.kind is NodeKind.PRIME
+    assert prime_unique_orientability_check(path_graph(n))
+
+
 def test_five_vertex_permutation_graph_census():
     # 33 permutation graphs on five vertices; 27 orient uniquely up to
     # relatedness and 6 carry two unrelated orientations, totalling 39

@@ -14,6 +14,7 @@ from geoposet.graphs import bits, is_closed, successors
 from geoposet.perms import all_permutations, inverse, inversion_set, parse
 from geoposet.poset import (
     _embeds,
+    _left_cover_steps,
     _shapes,
     bruhat_below,
     bruhat_covers,
@@ -330,6 +331,77 @@ def test_fill_equals_the_ascending_scan(n):
     assert poset.covers == tuple((i, j) for i, mask in enumerate(covers) for j in bits(mask))
 
 
+def random_pick_fill(table, rng):
+    """``build_poset``'s fill with its hit and miss cascades, but each next
+    unknown drawn at random.  Any order of decisions gives the exact rows,
+    so this tests the cascades apart from the pick rule.  Returns the rows
+    and the cover masks."""
+    counts = [c.inversions for c in table.classes]
+    shapes = [_shapes(c.representative) for c in table.classes]
+    size = len(shapes)
+    up = [0] * size
+    below = [0] * size
+    for i, j, _, _ in _left_cover_steps(table):
+        up[i] |= 1 << j
+        below[j] |= 1 << i
+    floor = [0] * size
+    for i in reversed(range(size)):
+        floor[i] = 1 << i | successors(floor, up[i])
+    col = [0] * size
+    for j in range(size):
+        col[j] = 1 << j | successors(col, below[j])
+    rows = [0] * size
+    hits = [0] * size
+    for i in range(size):
+        row = floor[i]
+        unknown = sum(1 << j for j in range(bisect_right(counts, counts[i]), size))
+        for k in bits(below[i]):
+            unknown &= rows[k]
+        unknown &= ~row
+        while unknown:
+            j = rng.choice(list(bits(unknown)))
+            if _embeds(shapes[i][0], shapes[j]):
+                row |= floor[j]
+                hits[i] |= 1 << j
+                unknown &= ~floor[j]
+            else:
+                unknown &= ~col[j]
+        rows[i] = row
+    covers = []
+    for i in range(size):
+        candidates = up[i] | hits[i]
+        above = 0
+        for c in bits(candidates):
+            above |= rows[c] & ~(1 << c)
+        covers.append(candidates & ~above)
+    return rows, covers
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_fill_is_exact_in_any_pick_order(rng):
+    poset = cached_poset(6)
+    rows, covers = random_pick_fill(poset.table, rng)
+    assert tuple(rows) == poset.leq
+    assert checked_poset(poset.table, rows, covers).covers == poset.covers
+
+
+@pytest.mark.parametrize("n, decisions, before", [(5, 44, 70), (6, 301, 1049), (7, 2147, 12730)])
+def test_fill_decision_counts(monkeypatch, n, decisions, before):
+    # exact work counts: the pair decisions the alternating fill makes,
+    # against those of the ascending fill without the miss cascade
+    calls = []
+    embeds = _embeds
+
+    def counted(source, shapes):
+        calls.append(None)
+        return embeds(source, shapes)
+
+    monkeypatch.setattr("geoposet.poset._embeds", counted)
+    build_poset(n)
+    assert len(calls) == decisions < before
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 1032), st.integers(0, 1032))
 def test_fill_agrees_with_precedes_at_n7(i, j):
@@ -374,7 +446,7 @@ def test_n7_order_is_bounded_and_not_graded():
 
 @pytest.mark.skipif(
     os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
-    reason="the n = 8 order takes about 20 s; set GEOPOSET_ACCEPT_LONG=1",
+    reason="the n = 8 order takes about 5 s; set GEOPOSET_ACCEPT_LONG=1",
 )
 def test_n8_order_is_bounded_and_not_graded():
     poset = build_poset(8)
