@@ -96,17 +96,28 @@ def load_cached_table(n: int) -> Optional[ClassTable]:
         return None
 
 
-def _obtain_table(n: int, use_cache: bool) -> ClassTable:
-    if use_cache:
-        cached = load_cached_table(n)
-        if cached is not None:
-            return cached
+def _obtain_table(args: argparse.Namespace, max_n: int, command: str, work: str) -> ClassTable:
+    """The class table of S_n for a table command; a usage error when n is
+    outside 1..max_n, or from ``LONG_RUN_THRESHOLD`` on without --allow-long."""
+    n = args.n
+    # Before the long-run gate: its message formats n!, too large for str() at huge n.
+    if not 1 <= n <= max_n:
+        raise UsageError(f"{command} supports 1 <= n <= {max_n}")
+    if n >= LONG_RUN_THRESHOLD and not args.allow_long:
+        raise UsageError(
+            f"n = {n} {work} all {math.factorial(n)} words of S_{n}; "
+            "pass --allow-long to run it anyway"
+        )
+    if args.no_cache:
+        return enumerate_classes(n)
+    cached = load_cached_table(n)
+    if cached is not None:
+        return cached
     table = enumerate_classes(n)
-    if use_cache:
-        try:
-            save_cached_table(table)
-        except OSError as exc:
-            print(f"warning: could not write cache: {exc}", file=sys.stderr)
+    try:
+        save_cached_table(table)
+    except OSError as exc:
+        print(f"warning: could not write cache: {exc}", file=sys.stderr)
     return table
 
 
@@ -155,16 +166,7 @@ def _format_table(table: ClassTable) -> str:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    n = args.n
-    # Before the long-run gate: its message formats n!, too large for str() at huge n.
-    if not 1 <= n <= ENUMERATION_MAX_N:
-        raise UsageError(f"enumerate supports 1 <= n <= {ENUMERATION_MAX_N}")
-    if n >= LONG_RUN_THRESHOLD and not args.allow_long:
-        raise UsageError(
-            f"n = {n} scans all {math.factorial(n)} words of S_{n}; "
-            "pass --allow-long to run it anyway"
-        )
-    table = _obtain_table(n, use_cache=not args.no_cache)
+    table = _obtain_table(args, ENUMERATION_MAX_N, "enumerate", "scans")
     if args.format == "json":
         _write_json(table.to_json_obj(), sys.stdout)
     elif args.format == "csv":
@@ -203,14 +205,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_poset(args: argparse.Namespace) -> int:
     n = args.n
-    if not 1 <= n <= POSET_MAX_N:
-        raise UsageError(f"poset construction supports 1 <= n <= {POSET_MAX_N}")
-    if n >= LONG_RUN_THRESHOLD and not args.allow_long:
-        raise UsageError(
-            f"n = {n} orders the classes of all {math.factorial(n)} words of S_{n}; "
-            "pass --allow-long to run it anyway"
-        )
-    table = _obtain_table(n, use_cache=not args.no_cache)
+    table = _obtain_table(args, POSET_MAX_N, "poset construction", "orders the classes of")
     poset = build_poset(table)
     diagram = hasse(poset)
     first, last = poset.bounds()

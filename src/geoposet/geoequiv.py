@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .digraphs import CanonicalKey, _key_from_masks
 from .graphs import bits
@@ -230,33 +230,29 @@ class ClassTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ClassTable":
-        """The table ``to_json_obj`` wrote; raises ValueError unless the
-        members are the n! words of S_n, each once, and every class's
-        representative is its first member."""
+        """The table ``to_json_obj`` wrote, rebuilt from its member lists.
+
+        Labels, inversion counts, representatives and the class order are
+        recomputed from the members, never read, and ``obj`` must equal
+        exactly what ``to_json_obj`` writes for the rebuilt table.  Raises
+        ValueError when the members are not the n! words of S_n, each once,
+        or when any other field differs from the rebuilt one.
+        """
         from .perms import parse
 
         n = int(obj["n"])
-        classes = []
-        for item in obj["classes"]:
-            members = tuple(parse(w) for w in item["members"])
-            rep = parse(item["representative"])
-            if members[:1] != (rep,):
-                raise ValueError(f"representative {rep} is not the first member of its class")
-            classes.append(
-                GeoClass(
-                    label=item["label"],
-                    inversions=int(item["inversions"]),
-                    representative=rep,
-                    members=members,
-                    key=class_key(rep),
-                )
-            )
-        words = {m.word for c in classes for m in c.members}
+        groups = [sorted(parse(w) for w in item["members"]) for item in obj["classes"]]
+        words = {m.word for members in groups for m in members}
         if n > ENUMERATION_MAX_N or any(len(w) != n for w in words) or not (
-            sum(c.size for c in classes) == len(words) == math.factorial(n)
+            all(groups) and sum(map(len, groups)) == len(words) == math.factorial(n)
         ):
-            raise ValueError(f"the class members are not the words of S_{n}, each once")
-        return cls(n, tuple(classes))
+            raise ValueError(
+                f"the class members are not the words of S_{n}, each once, in nonempty classes"
+            )
+        table = _assemble(n, [(class_key(members[0]), members) for members in groups])
+        if table.to_json_obj() != obj:
+            raise ValueError("the entry differs from the table its member lists give")
+        return table
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=False)
@@ -270,6 +266,19 @@ class ClassTable:
                 [c.label, c.inversions, c.size, str(c.representative), " ".join(str(m) for m in c.members)]
             )
         return buf.getvalue()
+
+
+def _assemble(
+    n: int, groups: Iterable[tuple[CanonicalKey, Sequence[Permutation]]]
+) -> ClassTable:
+    """The table of the classes given as (key, members) pairs, members
+    ascending: sorted by (inversion count, least member), labeled "k.m"."""
+    ordered = sorted((inversion_count(m[0]), m[0], tuple(m), ck) for ck, m in groups)
+    classes = []
+    for inv, run in itertools.groupby(ordered, key=lambda item: item[0]):
+        for within, (_, rep, members, ck) in enumerate(run, start=1):
+            classes.append(GeoClass(f"{inv}.{within}", inv, rep, members, ck))
+    return ClassTable(n, tuple(classes))
 
 
 def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -325,35 +334,12 @@ def enumerate_classes(n: int) -> ClassTable:
     for w, k in zip(reps, keys):
         key_of[w] = key_of[_rc_inverse(w)] = k
 
-    groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
+    # ``words`` is in lexicographic order, so each group is too.
+    groups: dict[CanonicalKey, list[Permutation]] = {}
     for w in words:
         ck = min(key_of[w], key_of[inverse_word(w)])
-        groups.setdefault(ck, []).append(w)
-
-    # ``words`` is in lexicographic order, so each group already is too and
-    # its first member is the least.
-    raw = []
-    for ck, group in groups.items():
-        members = tuple(Permutation(w) for w in group)
-        raw.append((inversion_count(members[0]), members, ck))
-    raw.sort(key=lambda item: (item[0], item[1][0]))
-
-    classes = []
-    within = 0
-    last_inv = None
-    for inv, members, ck in raw:
-        within = within + 1 if inv == last_inv else 1
-        last_inv = inv
-        classes.append(
-            GeoClass(
-                label=f"{inv}.{within}",
-                inversions=inv,
-                representative=members[0],
-                members=members,
-                key=ck,
-            )
-        )
-    table = ClassTable(n, tuple(classes))
+        groups.setdefault(ck, []).append(Permutation(w))
+    table = _assemble(n, groups.items())
     assert sum(c.size for c in table.classes) == total
     return table
 

@@ -85,13 +85,11 @@ class Realization:
         labels = [str(i) for i in range(1, len(vertices) + 1)]
         if set(vertices) != set(labels):
             raise ValueError("vertex labels must be 1..n")
-        return cls(
-            a=tuple(_parse_fraction(c) for c in obj["a"]),
-            b=tuple(_parse_fraction(c) for c in obj["b"]),
-            spokes=tuple(
-                tuple(_parse_fraction(c) for c in vertices[label]) for label in labels
-            ),
-        )
+        points = [obj.get("a"), obj.get("b")] + [vertices[label] for label in labels]
+        if not all(isinstance(p, list) and len(p) == 2 for p in points):
+            raise ValueError("'a', 'b' and every vertex must be lists of two coordinates")
+        a, b, *spokes = [tuple(_parse_fraction(c) for c in p) for p in points]
+        return cls(a=a, b=b, spokes=tuple(spokes))
 
     @classmethod
     def from_json(cls, text: str) -> "Realization":

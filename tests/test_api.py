@@ -1,4 +1,9 @@
-"""The package's public surface: the names ``geoposet/__init__.py`` imports."""
+"""The package's public surface: the names ``geoposet/__init__.py`` imports,
+and the examples in its docstrings."""
+
+import doctest
+import importlib
+import pkgutil
 
 import geoposet
 
@@ -24,3 +29,12 @@ def test_public_names_resolve():
     assert len(PUBLIC_NAMES) == 69
     assert [name for name in PUBLIC_NAMES if not hasattr(geoposet, name)] == []
 
+
+def test_docstring_examples_pass():
+    modules = [geoposet] + [
+        importlib.import_module(f"geoposet.{info.name}")
+        for info in pkgutil.iter_modules(geoposet.__path__)
+    ]
+    results = {module.__name__: doctest.testmod(module) for module in modules}
+    assert [name for name, result in results.items() if result.failed] == []
+    assert sum(result.attempted for result in results.values()) >= 6

@@ -174,10 +174,13 @@ def test_cache_payload_of_the_wrong_shape_is_a_miss():
         item = {"label": "0.1", "inversions": 0, "representative": "123"}
         return {"n": 3, "classes": [dict(item, members=members)]}
 
+    with_empty_class = enumerate_classes(3).to_json_obj()
+    with_empty_class["classes"].append(one_class([])["classes"][0])
     payloads = [
         {"n": 3, "classes": 5},  # iterating the classes raises TypeError
         one_class([5]),  # members that are not strings cannot be parsed
         one_class([[1, 2, 3]]),
+        with_empty_class,  # every word once, but one class has no least member
     ]
     path = _cache_path(3)
     path.parent.mkdir(parents=True)
@@ -226,6 +229,54 @@ def test_cache_payload_that_is_not_a_table_of_s3_is_a_miss(capsys, make):
     code, out, _ = run_cli(capsys, "enumerate", "3")
     assert code == 0
     assert out == run_cli(capsys, "enumerate", "3", "--no-cache")[1]
+
+
+def inversions_swapped(payload):
+    one, two = payload["classes"][1], payload["classes"][-2]
+    one["inversions"], two["inversions"] = two["inversions"], one["inversions"]
+
+
+def one_class_relabelled(payload):
+    last = payload["classes"][-1]
+    last["label"] = f"{last['inversions']}.2"
+
+
+def class_order_reversed(payload):
+    payload["classes"].reverse()
+
+
+def members_out_of_order(payload):
+    largest = max(payload["classes"], key=lambda item: len(item["members"]))
+    first, *rest = largest["members"]
+    largest["members"] = [first, *reversed(rest)]  # the representative stays first
+
+
+@pytest.mark.parametrize(
+    "n, tamper",
+    [
+        (5, inversions_swapped),
+        (4, one_class_relabelled),
+        (4, class_order_reversed),
+        (5, members_out_of_order),
+    ],
+)
+def test_cache_entry_that_is_not_the_table_of_its_members_is_a_miss(capsys, n, tamper):
+    from geoposet.cli import _cache_path, _digest
+    from geoposet.geoequiv import ClassTable
+
+    save_cached_table(enumerate_classes(n))
+    path = _cache_path(n)
+    entry = json.loads(path.read_text())
+    tamper(entry["table"])
+    entry["digest"] = _digest(entry["table"])
+    with pytest.raises(ValueError):
+        ClassTable.from_json_obj(entry["table"])
+    for argv in (["poset", str(n)], ["enumerate", str(n), "--format", "json"]):
+        path.write_text(json.dumps(entry))  # a miss saves the true table over it
+        assert load_cached_table(n) is None
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == run_cli(capsys, *argv, "--no-cache")[1]
 
 
 def test_concurrent_saves_all_succeed(isolated_cache):

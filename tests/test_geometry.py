@@ -275,7 +275,16 @@ def with_vertices(vertices):
 
 @pytest.mark.parametrize(
     "obj",
-    [with_vertices(["1"]), with_vertices([["0", "1"]]), with_vertices(5), [["0", "1"]], 5],
+    [
+        with_vertices(["1"]),
+        with_vertices([["0", "1"]]),
+        with_vertices(5),
+        [["0", "1"]],
+        5,
+        {"vertices": {"1": ["0", "1"]}},  # no "a"
+        dict(with_vertices({"1": ["0", "1"]}), a=5),
+        with_vertices({"1": 5, "2": ["1", "1"]}),
+    ],
 )
 def test_json_rejects_malformed_objects(obj):
     with pytest.raises(ValueError):
