@@ -3,8 +3,7 @@ and the one-shot verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or an output
 path that cannot be written.  Output for identical inputs is byte-identical
-whether or not ``enumerate_classes`` runs its worker pool, and whatever the
-cache state.
+whatever the cache state.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from .perms import Pair, Permutation, inversion_set, pair_masks, word_from_masks
 from .perms import perm_from_inversion_set  # noqa: F401
 
 CanonicalKey = bytes
+KEY_MAX_N = 16  # the largest digraph, or word, that gets a canonical key
 
 
 @dataclass(frozen=True)
@@ -215,10 +216,10 @@ def canonical_key(d: Digraph) -> CanonicalKey:
     """A byte string equal for two digraphs exactly when they are isomorphic.
 
     The leading byte is the vertex count, so digraphs of different sizes
-    never collide.  Intended for n <= 16.
+    never collide.  Intended for n <= ``KEY_MAX_N``.
     """
-    if d.n > 16:
-        raise ValueError("canonical keys are supported for n <= 16")
+    if d.n > KEY_MAX_N:
+        raise ValueError(f"canonical keys are supported for n <= {KEY_MAX_N}")
     return _key_from_masks(d.n, *d.masks())
 
 

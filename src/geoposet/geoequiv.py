@@ -10,8 +10,10 @@ independent decision procedures are provided:
 * ``equivalent_fast`` compares the permutation digraphs D(sigma) and D(pi)
   up to isomorphism, allowing a global arc reversal.
 
-``enumerate_classes`` partitions all of S_n by a canonical class key; the
-resulting tables are the same whether or not a worker pool keys them.
+``enumerate_classes`` partitions all of S_n by a canonical class key read
+off each word's substitution decomposition (``class_key``); the
+backtracking ``digraphs.canonical_key`` stays the key for general digraphs
+and the oracle of this one.
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ import io
 import itertools
 import json
 import math
-import os
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
-from .digraphs import CanonicalKey, _key_from_masks
+from .digraphs import KEY_MAX_N, CanonicalKey
+# Not called here; perfbench/spans.py wraps this name on this module.
+from .digraphs import _key_from_masks  # noqa: F401
 from .graphs import bits
 from .perms import (
     OrientationClass,
@@ -94,21 +98,117 @@ def equivalent_fast(sigma: Permutation, pi: Permutation) -> bool:
     return class_key(sigma) == class_key(pi)
 
 
+_LEAF = b"\x00"
+_SUM, _SKEW, _PRIME = 1 << 5, 2 << 5, 3 << 5  # a node's header is kind | child count
+_RISE = bytes([_SUM | 2, 0, 0])  # the code of 12
+_FALL = bytes([_SKEW | 2, 0, 0])  # the code of 21
+_NIBBLE = "-0123456789abcdef"  # _NIBBLE[v]: the value v of 1..16 as a hex digit
+# The sums of the k least and of the k greatest of the values 1..m: a word's
+# prefix sum meets them exactly where it has a ⊕ or a ⊖ cut.
+_LEAST = tuple(itertools.accumulate(range(1, KEY_MAX_N + 1)))
+_GREATEST = [()] + [
+    tuple(itertools.accumulate(range(m, 0, -1))) for m in range(1, KEY_MAX_N + 1)
+]
+
+
+def _nibbles(word: Iterable[int]) -> bytes:
+    """The values 1..16 of ``word`` as 0..15, two to a byte, zero-padded."""
+    digits = "".join(map(_NIBBLE.__getitem__, word))
+    return bytes.fromhex(digits + "0" * (len(digits) & 1))
+
+
+def _tree_code(w: Sequence[int]) -> bytes:
+    """The code of D(w) for a word w of the values 1..m: equal codes hold
+    exactly for isomorphic digraphs.  See ``_word_key``."""
+    m = len(w)
+    if m < 3:
+        return _LEAF if m == 1 else _RISE if w[0] == 1 else _FALL
+    sums = list(itertools.accumulate(w))
+    gaps = list(map(operator.sub, sums, _LEAST))
+    if gaps.count(0) > 1:  # ⊕ blocks: no arcs between them
+        cuts = [k for k, gap in enumerate(gaps, 1) if not gap]
+        codes = sorted(
+            _tree_code([v - a for v in w[a:b]]) if b - a > 1 else _LEAF
+            for a, b in zip([0, *cuts], cuts)
+        )
+        return bytes([_SUM | len(codes)]) + b"".join(codes)
+    gaps = list(map(operator.sub, _GREATEST[m], sums))
+    if gaps.count(0) > 1:  # ⊖ blocks: every arc joins an earlier block to a later one
+        cuts = [k for k, gap in enumerate(gaps, 1) if not gap]
+        codes = [
+            _tree_code([v - m + b for v in w[a:b]]) if b - a > 1 else _LEAF
+            for a, b in zip([0, *cuts], cuts)
+        ]
+        return bytes([_SKEW | len(codes)]) + b"".join(codes)
+    # Prime: the children are the maximal proper intervals, left to right.
+    codes, mins = [], []
+    a = 0
+    while a < m:
+        lo = hi = least = w[a]
+        b = a + 1
+        for j in range(a + 1, m if a else m - 1):
+            v = w[j]
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+            if hi - lo == j - a:
+                b, least = j + 1, lo
+        codes.append(_tree_code([v - least + 1 for v in w[a:b]]) if b - a > 1 else _LEAF)
+        mins.append(least)
+        a = b
+    by_value = sorted(range(len(mins)), key=mins.__getitem__)
+    sigma = [0] * len(mins)
+    for rank, k in enumerate(by_value, 1):
+        sigma[k] = rank
+    head = bytes([_PRIME | len(codes)])
+    return min(
+        head + _nibbles(sigma) + b"".join(map(codes.__getitem__, by_value)),
+        head + _nibbles(_rc_inverse(sigma)) + b"".join(reversed(codes)),
+    )
+
+
 def _word_key(word: tuple[int, ...]) -> CanonicalKey:
-    """Canonical key of the permutation digraph, straight from the word."""
-    return _key_from_masks(len(word), *word_masks(word))
+    """Canonical key of the permutation digraph D(w), read off the
+    substitution decomposition of the word (Albert & Atkinson, "Simple
+    permutations and pattern restricted permutations", 2005).
+
+    The word splits into ⊕ blocks where its prefix maximum equals the
+    prefix length (where the prefix sum is the least possible); D has no
+    arcs between them, so the blocks' codes are sorted.  Otherwise it splits
+    into ⊖ blocks where the first k values are the k greatest; D is then
+    the ordinal sum of the blocks, so their codes stay in position order.
+    Otherwise the node is prime: its k ≥ 4 children are the maximal proper
+    intervals, taken greedily from the left, and every other proper
+    interval lies inside one of them because the quotient σ (the ranks of
+    the blocks' minima) is simple.  D is D(σ) with the vertex of each value
+    rank replaced by its block's digraph.  D(σ) and its incomparability
+    graph are prime, so each has only two transitive orientations, and the
+    only words whose digraph is isomorphic to D(σ) are σ and rc(σ⁻¹); the
+    isomorphism v ↦ k+1−pos(v) gives rc(σ⁻¹) the block at position i of σ
+    as its block of value rank k+1−i.  So the node's code is the smaller of
+    σ followed by the child codes by value, and rc(σ⁻¹) followed by them in
+    reversed position order.
+
+    A leaf is the byte 0; a node is a header byte ``kind << 5 | child
+    count``, then for a prime node σ in nibbles, then the child codes.  The
+    code is prefix-free and fixes n, so it carries no length; at n = 8 it
+    is at most 15 bytes.  Words longer than ``KEY_MAX_N`` are refused.
+    """
+    if len(word) > KEY_MAX_N:
+        raise ValueError(f"class keys are supported for n <= {KEY_MAX_N}")
+    return _tree_code(word)
 
 
 def class_key(p: Permutation) -> CanonicalKey:
     """Key shared by exactly the geo-equivalence class of p.
 
-    The smaller of the canonical keys of D(p) and of D(p) with all arcs
-    reversed; reversal is what identifies a drawing with its apex swap.
-    Reversing the arcs swaps the out- and in-masks, so one mask pair serves
-    both keys.
+    The smaller of the keys of D(p) and of D(p) with all arcs reversed;
+    reversal is what identifies a drawing with its apex swap, and D(p)
+    reversed is isomorphic to D(p⁻¹).  No masks are built and no search
+    runs: see ``_word_key``.
     """
-    out, inn = word_masks(p.word)
-    return min(_key_from_masks(p.n, out, inn), _key_from_masks(p.n, inn, out))
+    return min(_word_key(p.word), _word_key(inverse_word(p.word)))
 
 
 def four_family(p: Permutation) -> tuple[Permutation, Permutation, Permutation, Permutation]:
@@ -291,24 +391,14 @@ def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(word)
 
 
-# Below this many words a worker pool costs more than it saves: on 2 CPUs it
-# loses at n = 8 (40 320 words) and wins at n = 9 (362 880).
-POOL_MIN_WORDS = 100_000
-
-
 def enumerate_classes(n: int) -> ClassTable:
     """Partition all of S_n into geo-equivalence classes.
 
     One key serves each orbit {w, rc(w⁻¹)}, rc being reverse-complement:
     inverting a word reverses every arc of its digraph, and so does rc, so
-    the relabelling i ↦ n+1−i carries D(w) onto D(rc(w⁻¹)).  Only the
+    the relabelling v ↦ n+1−pos(v) carries D(w) onto D(rc(w⁻¹)).  Only the
     lexicographically smaller word of each orbit is keyed, and its key is
     stored under both words; at n = 8 that is 20 542 keys for 40 320 words.
-
-    From ``POOL_MIN_WORDS`` words on (n = 9), and only when this process
-    may run on more than one CPU, a pool of one process per such CPU keys
-    chunks of orbit representatives; the output is byte-identical either
-    way.
     Refuses n outside 1..9: the scan is exact and the factorial growth makes
     larger n a different project.
     """
@@ -317,22 +407,12 @@ def enumerate_classes(n: int) -> ClassTable:
             f"class enumeration supports 1 <= n <= {ENUMERATION_MAX_N}; got n={n}"
         )
     words = list(itertools.permutations(range(1, n + 1)))
-    total = len(words)
-    reps = [w for w in words if w <= _rc_inverse(w)]
-    affinity = getattr(os, "sched_getaffinity", None)
-    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if workers < 2 or total < POOL_MIN_WORDS:
-        keys = [_word_key(w) for w in reps]
-    else:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            keys = pool.map(_word_key, reps, chunksize=math.ceil(len(reps) / (4 * workers)))
-
     # The keys stay the tuples of ``words``; rc-inverse words are only looked up.
     key_of = dict.fromkeys(words)
-    for w, k in zip(reps, keys):
-        key_of[w] = key_of[_rc_inverse(w)] = k
+    for w in words:
+        rc = _rc_inverse(w)
+        if w <= rc:
+            key_of[w] = key_of[rc] = _word_key(w)
 
     # ``words`` is in lexicographic order, so each group is too.
     groups: dict[CanonicalKey, list[Permutation]] = {}
@@ -340,7 +420,7 @@ def enumerate_classes(n: int) -> ClassTable:
         ck = min(key_of[w], key_of[inverse_word(w)])
         groups.setdefault(ck, []).append(Permutation(w))
     table = _assemble(n, groups.items())
-    assert sum(c.size for c in table.classes) == total
+    assert sum(c.size for c in table.classes) == len(words)
     return table
 
 

@@ -5,6 +5,7 @@ long n = 9 enumeration is opt-in via GEOPOSET_ACCEPT_LONG=1 (mirroring the
 CLI's --allow-long gate).
 """
 
+import hashlib
 import os
 import random
 import time
@@ -36,6 +37,7 @@ from geoposet.verify import CLASS_COUNTS, SCHROEDER
 
 EXPECTED_CLASS_COUNTS = {n: CLASS_COUNTS[n] for n in range(1, 8)}
 SCHROEDER_PREFIX = [SCHROEDER[n] for n in range(1, 8)]  # A006318, offset 0
+N9_TABLE_SHA256 = "4a3077a358dcef554e0143d2b054838d10b64c731eed64e47619927994cf6032"
 
 
 def report(criterion: int, text: str) -> None:
@@ -53,8 +55,11 @@ def test_criterion_1_class_count_sequence():
     detail = f"counts {list(got.values())} for n=1..8 in {elapsed:.1f}+ s"
     if os.environ.get("GEOPOSET_ACCEPT_LONG") == "1":
         t1 = time.time()
-        got[9] = enumerate_classes(9).count
+        table = enumerate_classes(9)
+        got[9] = table.count
         assert got[9] == CLASS_COUNTS[9]
+        # the digest of the table that the backtracking canonical_key gives
+        assert hashlib.sha256(table.to_json().encode()).hexdigest() == N9_TABLE_SHA256
         detail += f"; n=9 -> {got[9]} in {time.time() - t1:.0f} s"
     else:
         detail += "; n=9 skipped (set GEOPOSET_ACCEPT_LONG=1)"

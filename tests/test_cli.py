@@ -1,6 +1,5 @@
 import json
 import multiprocessing
-import os
 import sys
 import threading
 
@@ -63,26 +62,6 @@ def test_enumerate_output_identical_with_and_without_cache(capsys):
     code3, out3, _ = run_cli(capsys, "enumerate", "4", "--format", "json", "--no-cache")
     assert code1 == code2 == code3 == 0
     assert out1 == out2 == out3
-
-
-def test_enumerate_pool_does_not_change_output(capsys, monkeypatch):
-    pools = []
-    real_pool = multiprocessing.Pool
-
-    def counting_pool(*args, **kwargs):
-        pools.append(args)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("geoposet.geoequiv.POOL_MIN_WORDS", 0)
-    code1, out1, _ = run_cli(capsys, "enumerate", "5", "--no-cache")
-    assert pools == [(2,)]
-    monkeypatch.setattr("geoposet.geoequiv.POOL_MIN_WORDS", 10**9)
-    code2, out2, _ = run_cli(capsys, "enumerate", "5", "--no-cache")
-    assert len(pools) == 1
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,11 @@ import json
 import multiprocessing
 import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import geoposet
 from geoposet import geoequiv
 from geoposet.digraphs import canonical_key, from_perm, reverse
 from geoposet.geoequiv import (
@@ -239,15 +237,106 @@ def test_enumerate_keys_one_word_per_orbit(monkeypatch):
     n = 6
     orbits = {frozenset({p.word, geoequiv._rc_inverse(p.word)}) for p in all_permutations(n)}
     keyed = []
-    key_from_masks = geoequiv._key_from_masks
+    word_key = geoequiv._word_key
 
-    def counting(*args):
-        keyed.append(args)
-        return key_from_masks(*args)
+    def counting(word):
+        keyed.append(word)
+        return word_key(word)
 
-    monkeypatch.setattr(geoequiv, "_key_from_masks", counting)
+    monkeypatch.setattr(geoequiv, "_word_key", counting)
     enumerate_classes(n)
     assert len(keyed) == len(orbits) == 398
+
+
+# ---------------------------------------------------------------------------
+# class keys from the substitution decomposition, against backtracking
+
+
+def _partition(words, key) -> set:
+    groups = {}
+    for w in words:
+        groups.setdefault(key(w), set()).add(w)
+    return {frozenset(g) for g in groups.values()}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_word_key_partition_is_backtracking_isomorphism(n):
+    words = list(itertools.permutations(range(1, n + 1)))
+    tree = _partition(words, geoequiv._word_key)
+    assert tree == _partition(words, lambda w: canonical_key(from_perm(Permutation(w))))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_key_partition_is_the_enumeration(n):
+    words = list(itertools.permutations(range(1, n + 1)))
+    classes = {frozenset(m.word for m in c.members) for c in enumerate_classes(n).classes}
+    assert _partition(words, lambda w: class_key(Permutation(w))) == classes
+
+
+def test_class_key_refuses_17_letters():
+    with pytest.raises(ValueError):
+        class_key(Permutation(tuple(range(17, 0, -1))))
+    with pytest.raises(ValueError):
+        geoequiv._word_key(tuple(range(1, 18)))
+
+
+def _inflate(sigma, children) -> tuple[int, ...]:
+    """sigma with the block at position i replaced by ``children[i]``."""
+    sizes = [len(c) for c in children]
+    base = [0] * len(sigma)
+    total = 0
+    for i in sorted(range(len(sigma)), key=sigma.__getitem__):
+        base[i] = total
+        total += sizes[i]
+    return tuple(base[i] + v for i, c in enumerate(children) for v in c)
+
+
+def _backtracking_says_isomorphic(w1, w2) -> bool:
+    return canonical_key(from_perm(Permutation(w1))) == canonical_key(from_perm(Permutation(w2)))
+
+
+@st.composite
+def _isomorphic_pair(draw) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two words of one length in 10..16 whose digraphs are isomorphic."""
+    n = draw(st.integers(10, 16))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, min(6, n - sum(sizes)))))
+    pieces = [tuple(draw(st.permutations(range(1, s + 1)))) for s in sizes]
+    how = draw(st.sampled_from(["rc-inverse", "shuffle sum", "prime flip"]))
+    k = len(pieces)
+    if how == "shuffle sum":
+        # D(α ⊕ β) is the disjoint union of D(α) and D(β)
+        order = draw(st.permutations(range(k)))
+        return _inflate(tuple(range(1, k + 1)), pieces), _inflate(
+            tuple(range(1, k + 1)), [pieces[i] for i in order]
+        )
+    sigma = tuple(draw(st.permutations(range(1, k + 1))))
+    w = _inflate(sigma, pieces)
+    if how == "rc-inverse":
+        return w, geoequiv._rc_inverse(w)
+    # rc(σ⁻¹) lists by value the blocks of σ in reversed position order
+    tau = geoequiv._rc_inverse(sigma)
+    return w, _inflate(tau, [pieces[k - t] for t in tau])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_isomorphic_pair())
+def test_word_key_agrees_with_backtracking_on_isomorphic_pairs(pair):
+    w1, w2 = pair
+    assert sorted(w1) == sorted(w2) == list(range(1, len(w1) + 1))
+    assert _backtracking_says_isomorphic(w1, w2)
+    assert geoequiv._word_key(w1) == geoequiv._word_key(w2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(10, 16).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)))
+))
+def test_word_key_agrees_with_backtracking_on_random_pairs(pair):
+    w1, w2 = map(tuple, pair)
+    same = geoequiv._word_key(w1) == geoequiv._word_key(w2)
+    assert same == _backtracking_says_isomorphic(w1, w2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -266,25 +355,6 @@ def test_class_of_rejects_non_members():
     assert excinfo.value.args[0] == "12345 is not a member of any class (n mismatch?)"
 
 
-def test_enumerate_worker_count_does_not_change_output(monkeypatch):
-    pools = []
-    real_pool = multiprocessing.Pool
-
-    def counting_pool(*args, **kwargs):
-        pools.append(args)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    serial = enumerate_classes(6).to_json()
-    assert pools == []
-    # n = 6 is below the pool threshold; lower it so the pool really runs
-    monkeypatch.setattr(geoequiv, "POOL_MIN_WORDS", 0)
-    parallel = enumerate_classes(6).to_json()
-    assert pools == [(2,)]
-    assert serial == parallel
-
-
 def test_no_pool_on_one_usable_cpu(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started")
@@ -293,50 +363,7 @@ def test_no_pool_on_one_usable_cpu(monkeypatch):
     # the host has more CPUs than this process may run on
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(geoequiv, "POOL_MIN_WORDS", 0)
     assert enumerate_classes(5).count == 39
-
-
-SPAWNED_POOL = """
-import multiprocessing as mp
-import multiprocessing.popen_fork
-import os
-
-from geoposet import geoequiv
-from geoposet.geoequiv import enumerate_classes
-
-
-def no_fork(self, process_obj):
-    raise RuntimeError("a worker pool forked")
-
-
-if __name__ == "__main__":
-    mp.set_start_method("spawn")
-    # the spawn Popen overrides _launch; only a forking pool reaches this
-    multiprocessing.popen_fork.Popen._launch = no_fork
-    os.sched_getaffinity = lambda pid: {0, 1}
-    table = enumerate_classes(6)
-    # n = 6 is below the pool threshold; lower it so the pool really runs
-    geoequiv.POOL_MIN_WORDS = 0
-    assert enumerate_classes(6).to_json() == table.to_json()
-    print(mp.get_start_method())
-"""
-
-
-def test_enumerate_pool_runs_under_spawn(tmp_path):
-    script = tmp_path / "spawned_pool.py"
-    script.write_text(SPAWNED_POOL)
-    src = str(Path(geoposet.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(script)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "spawn\n"
 
 
 def test_table_json_round_trip():
