@@ -98,10 +98,11 @@ def equivalent_fast(sigma: Permutation, pi: Permutation) -> bool:
     return class_key(sigma) == class_key(pi)
 
 
-_LEAF = b"\x00"
 _SUM, _SKEW, _PRIME = 1 << 5, 2 << 5, 3 << 5  # a node's header is kind | child count
-_RISE = bytes([_SUM | 2, 0, 0])  # the code of 12
-_FALL = bytes([_SKEW | 2, 0, 0])  # the code of 21
+# The code pairs of 1, 12 and 21, each its own inverse.
+_LEAVES = (b"\x00",) * 2
+_RISES = (bytes([_SUM | 2, 0, 0]),) * 2
+_FALLS = (bytes([_SKEW | 2, 0, 0]),) * 2
 _NIBBLE = "-0123456789abcdef"  # _NIBBLE[v]: the value v of 1..16 as a hex digit
 # The sums of the k least and of the k greatest of the values 1..m: a word's
 # prefix sum meets them exactly where it has a ⊕ or a ⊖ cut.
@@ -117,31 +118,47 @@ def _nibbles(word: Iterable[int]) -> bytes:
     return bytes.fromhex(digits + "0" * (len(digits) & 1))
 
 
-def _tree_code(w: Sequence[int]) -> bytes:
-    """The code of D(w) for a word w of the values 1..m: equal codes hold
-    exactly for isomorphic digraphs.  See ``_word_key``."""
+def _block_codes(w: tuple[int, ...], a: int, b: int, least: int, memo: dict) -> tuple[bytes, bytes]:
+    """The code pair of the block w[a:b] whose least value is ``least``,
+    normalised to the values 1..b−a, through ``memo``."""
+    if b - a == 1:
+        return _LEAVES
+    block = tuple([v - least + 1 for v in w[a:b]]) if least > 1 else w[a:b]
+    pair = memo.get(block)
+    if pair is None:
+        pair = memo[block] = _tree_codes(block, memo)
+    return pair
+
+
+def _tree_codes(w: tuple[int, ...], memo: dict) -> tuple[bytes, bytes]:
+    """The codes of D(w) and of D(w⁻¹) for a word w of the values 1..m,
+    from one walk of w's substitution tree: equal codes hold exactly for
+    isomorphic digraphs.  ``memo`` maps normalised blocks of w, as tuples,
+    to their code pairs; w itself is not stored.  See ``_word_key``."""
     m = len(w)
     if m < 3:
-        return _LEAF if m == 1 else _RISE if w[0] == 1 else _FALL
+        return _LEAVES if m == 1 else _RISES if w[0] == 1 else _FALLS
+    if m > KEY_MAX_N:
+        raise ValueError(f"class keys are supported for n <= {KEY_MAX_N}")
     sums = list(itertools.accumulate(w))
     gaps = list(map(operator.sub, sums, _LEAST))
     if gaps.count(0) > 1:  # ⊕ blocks: no arcs between them
         cuts = [k for k, gap in enumerate(gaps, 1) if not gap]
-        codes = sorted(
-            _tree_code([v - a for v in w[a:b]]) if b - a > 1 else _LEAF
-            for a, b in zip([0, *cuts], cuts)
+        codes, inverse_codes = zip(
+            *[_block_codes(w, a, b, a + 1, memo) for a, b in zip([0, *cuts], cuts)]
         )
-        return bytes([_SUM | len(codes)]) + b"".join(codes)
+        head = bytes([_SUM | len(cuts)])
+        return head + b"".join(sorted(codes)), head + b"".join(sorted(inverse_codes))
     gaps = list(map(operator.sub, _GREATEST[m], sums))
     if gaps.count(0) > 1:  # ⊖ blocks: every arc joins an earlier block to a later one
         cuts = [k for k, gap in enumerate(gaps, 1) if not gap]
-        codes = [
-            _tree_code([v - m + b for v in w[a:b]]) if b - a > 1 else _LEAF
-            for a, b in zip([0, *cuts], cuts)
-        ]
-        return bytes([_SKEW | len(codes)]) + b"".join(codes)
+        codes, inverse_codes = zip(
+            *[_block_codes(w, a, b, m - b + 1, memo) for a, b in zip([0, *cuts], cuts)]
+        )
+        head = bytes([_SKEW | len(cuts)])
+        return head + b"".join(codes), head + b"".join(reversed(inverse_codes))
     # Prime: the children are the maximal proper intervals, left to right.
-    codes, mins = [], []
+    pairs, mins = [], []
     a = 0
     while a < m:
         lo = hi = least = w[a]
@@ -154,18 +171,28 @@ def _tree_code(w: Sequence[int]) -> bytes:
                 hi = v
             if hi - lo == j - a:
                 b, least = j + 1, lo
-        codes.append(_tree_code([v - least + 1 for v in w[a:b]]) if b - a > 1 else _LEAF)
+        pairs.append(_block_codes(w, a, b, least, memo))
         mins.append(least)
         a = b
-    by_value = sorted(range(len(mins)), key=mins.__getitem__)
-    sigma = [0] * len(mins)
-    for rank, k in enumerate(by_value, 1):
-        sigma[k] = rank
-    head = bytes([_PRIME | len(codes)])
-    return min(
+    k = len(pairs)
+    by_value = sorted(range(k), key=mins.__getitem__)  # σ⁻¹, from 0
+    sigma = [0] * k
+    for rank, i in enumerate(by_value, 1):
+        sigma[i] = rank
+    codes, inverse_codes = zip(*pairs)
+    head = bytes([_PRIME | k])
+    code = min(
         head + _nibbles(sigma) + b"".join(map(codes.__getitem__, by_value)),
-        head + _nibbles(_rc_inverse(sigma)) + b"".join(reversed(codes)),
+        head + _nibbles([k - i for i in reversed(by_value)]) + b"".join(reversed(codes)),
     )
+    # w⁻¹ is σ⁻¹ with w's blocks, inverted, in w's value order.
+    inverse_code = min(
+        head + _nibbles([i + 1 for i in by_value]) + b"".join(inverse_codes),
+        head
+        + _nibbles([k + 1 - s for s in reversed(sigma)])
+        + b"".join(map(inverse_codes.__getitem__, reversed(by_value))),
+    )
+    return code, inverse_code
 
 
 def _word_key(word: tuple[int, ...]) -> CanonicalKey:
@@ -190,14 +217,28 @@ def _word_key(word: tuple[int, ...]) -> CanonicalKey:
     σ followed by the child codes by value, and rc(σ⁻¹) followed by them in
     reversed position order.
 
+    The same walk codes D(w⁻¹) (``_tree_codes``).  Inverting a ⊕ node
+    inverts its blocks in place, and inverting a ⊖ node reverses their
+    order.  A prime node σ[α₁..α_k] inverts to σ⁻¹ with the block of value
+    rank j of w, inverted, at position j: w⁻¹'s children by position are
+    w's children by value, and by value they are w's children by position.
+    So the inverse code is the smaller of σ⁻¹ followed by the children's
+    inverse codes in w's position order, and rc(σ) followed by them in w's
+    value order, reversed.  For 35124, which is 2413 inflated by 12 at its
+    value 1:
+
+    >>> code, inverse_code = _tree_codes((3, 5, 1, 2, 4), {})
+    >>> inverse_code == _word_key(inverse_word((3, 5, 1, 2, 4)))
+    True
+    >>> inverse_code == code
+    False
+
     A leaf is the byte 0; a node is a header byte ``kind << 5 | child
     count``, then for a prime node σ in nibbles, then the child codes.  The
     code is prefix-free and fixes n, so it carries no length; at n = 8 it
     is at most 15 bytes.  Words longer than ``KEY_MAX_N`` are refused.
     """
-    if len(word) > KEY_MAX_N:
-        raise ValueError(f"class keys are supported for n <= {KEY_MAX_N}")
-    return _tree_code(word)
+    return _tree_codes(word, {})[0]
 
 
 def class_key(p: Permutation) -> CanonicalKey:
@@ -205,10 +246,11 @@ def class_key(p: Permutation) -> CanonicalKey:
 
     The smaller of the keys of D(p) and of D(p) with all arcs reversed;
     reversal is what identifies a drawing with its apex swap, and D(p)
-    reversed is isomorphic to D(p⁻¹).  No masks are built and no search
-    runs: see ``_word_key``.
+    reversed is isomorphic to D(p⁻¹).  One walk of p's substitution tree
+    gives both keys; no masks are built and no search runs: see
+    ``_word_key``.
     """
-    return min(_word_key(p.word), _word_key(inverse_word(p.word)))
+    return min(_tree_codes(p.word, {}))
 
 
 def four_family(p: Permutation) -> tuple[Permutation, Permutation, Permutation, Permutation]:
@@ -341,7 +383,10 @@ class ClassTable:
         from .perms import parse
 
         n = int(obj["n"])
-        groups = [sorted(parse(w) for w in item["members"]) for item in obj["classes"]]
+        by_word = operator.attrgetter("word")
+        groups = [
+            sorted(map(parse, item["members"]), key=by_word) for item in obj["classes"]
+        ]
         words = {m.word for members in groups for m in members}
         if n > ENUMERATION_MAX_N or any(len(w) != n for w in words) or not (
             all(groups) and sum(map(len, groups)) == len(words) == math.factorial(n)
@@ -373,11 +418,12 @@ def _assemble(
 ) -> ClassTable:
     """The table of the classes given as (key, members) pairs, members
     ascending: sorted by (inversion count, least member), labeled "k.m"."""
-    ordered = sorted((inversion_count(m[0]), m[0], tuple(m), ck) for ck, m in groups)
+    # Least members are distinct, so the sort never compares past the word.
+    ordered = sorted((inversion_count(m[0]), m[0].word, tuple(m), ck) for ck, m in groups)
     classes = []
     for inv, run in itertools.groupby(ordered, key=lambda item: item[0]):
-        for within, (_, rep, members, ck) in enumerate(run, start=1):
-            classes.append(GeoClass(f"{inv}.{within}", inv, rep, members, ck))
+        for within, (_, _, members, ck) in enumerate(run, start=1):
+            classes.append(GeoClass(f"{inv}.{within}", inv, members[0], members, ck))
     return ClassTable(n, tuple(classes))
 
 
@@ -394,33 +440,36 @@ def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
 def enumerate_classes(n: int) -> ClassTable:
     """Partition all of S_n into geo-equivalence classes.
 
-    One key serves each orbit {w, rc(w⁻¹)}, rc being reverse-complement:
-    inverting a word reverses every arc of its digraph, and so does rc, so
-    the relabelling v ↦ n+1−pos(v) carries D(w) onto D(rc(w⁻¹)).  Only the
-    lexicographically smaller word of each orbit is keyed, and its key is
-    stored under both words; at n = 8 that is 20 542 keys for 40 320 words.
-    Refuses n outside 1..9: the scan is exact and the factorial growth makes
-    larger n a different project.
+    One walk serves each orbit {w, w⁻¹, rc(w), rc(w⁻¹)}, rc being
+    reverse-complement: inverting a word reverses every arc of its digraph,
+    and so does rc, so the relabelling v ↦ n+1−pos(v) carries D(w) onto
+    D(rc(w⁻¹)) and D(w⁻¹) onto D(rc(w)).  The walk gives the keys of D(w)
+    and D(w⁻¹), and the smaller is the class key of all four words; at
+    n = 8 that is 10 558 walks for 40 320 words.  The walks share one memo
+    of their blocks' codes.  Refuses n outside 1..9: the scan is exact and
+    the factorial growth makes larger n a different project.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(
             f"class enumeration supports 1 <= n <= {ENUMERATION_MAX_N}; got n={n}"
         )
-    words = list(itertools.permutations(range(1, n + 1)))
-    # The keys stay the tuples of ``words``; rc-inverse words are only looked up.
-    key_of = dict.fromkeys(words)
-    for w in words:
-        rc = _rc_inverse(w)
-        if w <= rc:
-            key_of[w] = key_of[rc] = _word_key(w)
+    # Lexicographic order, kept by the dict: the first word of each orbit
+    # met is the one walked, and each group below is built in order.
+    key_of = dict.fromkeys(itertools.permutations(range(1, n + 1)))
+    memo: dict = {}
+    for w, ck in key_of.items():
+        if ck is None:
+            inv = inverse_word(w)
+            ck = min(_tree_codes(w, memo))
+            key_of[w] = key_of[inv] = key_of[_rc_inverse(w)] = key_of[_rc_inverse(inv)] = ck
+    del memo
 
-    # ``words`` is in lexicographic order, so each group is too.
     groups: dict[CanonicalKey, list[Permutation]] = {}
-    for w in words:
-        ck = min(key_of[w], key_of[inverse_word(w)])
-        groups.setdefault(ck, []).append(Permutation(w))
+    member = Permutation._unchecked
+    for w, ck in key_of.items():
+        groups.setdefault(ck, []).append(member(w))
     table = _assemble(n, groups.items())
-    assert sum(c.size for c in table.classes) == len(words)
+    assert sum(c.size for c in table.classes) == len(key_of)
     return table
 
 

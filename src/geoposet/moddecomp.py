@@ -28,9 +28,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .geoequiv import _word_key
+from .geoequiv import _tree_codes, _word_key
 from .graphs import Graph, bits, components_within, inversion_graph
-from .perms import Permutation, inverse_word
+from .perms import Permutation
 # Not called here; perfbench/spans.py wraps these two names on this module.
 from .digraphs import canonical_key, from_perm  # noqa: F401
 
@@ -328,7 +328,8 @@ def cograph_class_size(p: Permutation) -> ClassSizeReport:
         for multiplicity in types.values():
             factor //= math.factorial(multiplicity)
         n_d *= factor
-    self_related = _word_key(w) == _word_key(inverse_word(w))
+    code, inverse_code = _tree_codes(w, {})
+    self_related = code == inverse_code
     return ClassSizeReport(
         n_d=n_d,
         self_related=self_related,

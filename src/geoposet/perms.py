@@ -48,6 +48,14 @@ class Permutation:
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of 1..{len(word)}: {word!r}")
 
+    @classmethod
+    def _unchecked(cls, word: tuple[int, ...]) -> "Permutation":
+        """The permutation of ``word``, a tuple already known to hold 1..n
+        once each, built without ``__post_init__``'s check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "word", word)
+        return p
+
     @property
     def n(self) -> int:
         return len(self.word)

@@ -225,27 +225,73 @@ def test_enumerate_rejects_out_of_envelope():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_word_key_shared_by_rc_inverse(n):
-    # D(rc(w^-1)) is D(w) relabelled by i -> n+1-i; enumerate_classes keys
-    # one word per {w, rc(w^-1)} orbit on the strength of it
+    # D(rc(w^-1)) is D(w) relabelled by i -> n+1-i; enumerate_classes walks
+    # one word per {w, w^-1, rc(w), rc(w^-1)} orbit on the strength of it
     for p in all_permutations(n):
         rc_inv = tuple(n + 1 - v for v in reversed(inverse(p).word))
         assert geoequiv._rc_inverse(p.word) == rc_inv
         assert geoequiv._word_key(p.word) == geoequiv._word_key(rc_inv), str(p)
 
 
+def _four_orbit(w) -> frozenset:
+    """{w, w^-1, rc(w), rc(w^-1)}, rc being reverse-complement."""
+    n = len(w)
+    inv = inverse(Permutation(w)).word
+    return frozenset({w, inv, *(tuple(n + 1 - v for v in reversed(x)) for x in (w, inv))})
+
+
 def test_enumerate_keys_one_word_per_orbit(monkeypatch):
-    n = 6
-    orbits = {frozenset({p.word, geoequiv._rc_inverse(p.word)}) for p in all_permutations(n)}
-    keyed = []
-    word_key = geoequiv._word_key
+    # a walk of the whole word happens once per 4-orbit, on one of its words;
+    # the walks' blocks are shorter than n
+    tree_codes = geoequiv._tree_codes
+    walked = []
 
-    def counting(word):
-        keyed.append(word)
-        return word_key(word)
+    def counting(w, memo):
+        walked.append(w)
+        return tree_codes(w, memo)
 
-    monkeypatch.setattr(geoequiv, "_word_key", counting)
-    enumerate_classes(n)
-    assert len(keyed) == len(orbits) == 398
+    monkeypatch.setattr(geoequiv, "_tree_codes", counting)
+    for n, orbit_count in ((5, 45), (6, 230), (7, 1388), (8, 10558)):
+        walked.clear()
+        enumerate_classes(n)
+        top = [w for w in walked if len(w) == n]
+        orbits = {_four_orbit(w) for w in itertools.permutations(range(1, n + 1))}
+        assert len(top) == len({_four_orbit(w) for w in top}) == len(orbits) == orbit_count
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tree_codes_second_code_is_the_inverse_key(n):
+    for w in itertools.permutations(range(1, n + 1)):
+        code, inverse_code = geoequiv._tree_codes(w, {})
+        assert code == geoequiv._word_key(w)
+        assert inverse_code == geoequiv._word_key(inverse(Permutation(w)).word), w
+
+
+def test_shared_memo_gives_fresh_codes():
+    memo = {}
+    for w in itertools.permutations(range(1, 8)):
+        assert geoequiv._tree_codes(w, memo) == geoequiv._tree_codes(w, {}), w
+    assert memo and max(map(len, memo)) < 7
+
+
+def test_class_key_is_the_smaller_word_key():
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            expected = min(geoequiv._word_key(p.word), geoequiv._word_key(inverse(p).word))
+            assert class_key(p) == expected, str(p)
+
+
+def test_enumerated_members_are_permutations():
+    # members skip re-validation; they must still equal, hash and order like
+    # validated ones, and the public constructor still validates
+    for c in enumerate_classes(5).classes:
+        for m in c.members:
+            p = Permutation(m.word)
+            assert type(m) is Permutation and m == p and hash(m) == hash(p)
+            assert not m < p and str(m) == str(p)
+    for bad in [(1, 1), (), (2, 3)]:
+        with pytest.raises(ValueError):
+            Permutation(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +324,13 @@ def test_class_key_refuses_17_letters():
         class_key(Permutation(tuple(range(17, 0, -1))))
     with pytest.raises(ValueError):
         geoequiv._word_key(tuple(range(1, 18)))
+    # prime at the root: 2, 4, ..., 16, 1, 3, ..., 17, and its reverse
+    prime = tuple(range(2, 17, 2)) + tuple(range(1, 18, 2))
+    for w in (prime, tuple(reversed(prime))):
+        with pytest.raises(ValueError):
+            class_key(Permutation(w))
+        with pytest.raises(ValueError):
+            geoequiv._tree_codes(w, {})
 
 
 def _inflate(sigma, children) -> tuple[int, ...]:
@@ -296,13 +349,19 @@ def _backtracking_says_isomorphic(w1, w2) -> bool:
 
 
 @st.composite
-def _isomorphic_pair(draw) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two words of one length in 10..16 whose digraphs are isomorphic."""
+def _blocks(draw) -> list[tuple[int, ...]]:
+    """Random words of lengths 1..6, totalling a length in 10..16."""
     n = draw(st.integers(10, 16))
     sizes = []
     while sum(sizes) < n:
         sizes.append(draw(st.integers(1, min(6, n - sum(sizes)))))
-    pieces = [tuple(draw(st.permutations(range(1, s + 1)))) for s in sizes]
+    return [tuple(draw(st.permutations(range(1, s + 1)))) for s in sizes]
+
+
+@st.composite
+def _isomorphic_pair(draw) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two words of one length in 10..16 whose digraphs are isomorphic."""
+    pieces = draw(_blocks())
     how = draw(st.sampled_from(["rc-inverse", "shuffle sum", "prime flip"]))
     k = len(pieces)
     if how == "shuffle sum":
@@ -337,6 +396,23 @@ def test_word_key_agrees_with_backtracking_on_random_pairs(pair):
     w1, w2 = map(tuple, pair)
     same = geoequiv._word_key(w1) == geoequiv._word_key(w2)
     assert same == _backtracking_says_isomorphic(w1, w2)
+
+
+@st.composite
+def _inflated_word(draw) -> tuple[int, ...]:
+    """A word of length 10..16: a random σ with a random block at each position."""
+    pieces = draw(_blocks())
+    return _inflate(tuple(draw(st.permutations(range(1, len(pieces) + 1)))), pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_inflated_word(), st.integers(10, 16).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(tuple)
+)))
+def test_tree_codes_second_code_is_the_inverse_key_at_10_to_16(w):
+    code, inverse_code = geoequiv._tree_codes(w, {})
+    assert inverse_code == geoequiv._word_key(inverse(Permutation(w)).word)
+    assert (code == inverse_code) == _backtracking_says_isomorphic(w, inverse(Permutation(w)).word)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
