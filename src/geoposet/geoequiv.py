@@ -22,12 +22,11 @@ import csv
 import io
 import itertools
 import json
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .digraphs import KEY_MAX_N, CanonicalKey
 # Not called here; perfbench/spans.py wraps this name on this module.
@@ -372,31 +371,21 @@ class ClassTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ClassTable":
-        """The table ``to_json_obj`` wrote, rebuilt from its member lists.
+        """The table ``to_json_obj`` wrote, recomputed from ``obj["n"]``.
 
-        Labels, inversion counts, representatives and the class order are
-        recomputed from the members, never read, and ``obj`` must equal
-        exactly what ``to_json_obj`` writes for the rebuilt table.  Raises
-        ValueError when the members are not the n! words of S_n, each once,
-        or when any other field differs from the rebuilt one.
+        Only n is read: ``enumerate_classes(n)`` builds the table, and
+        ``obj`` must equal exactly what ``to_json_obj`` writes for it.  To
+        check a stored grouping takes a key per orbit of words, which is the
+        enumeration itself, so no other field is trusted.  Raises ValueError
+        when n is not an int in 1..``ENUMERATION_MAX_N`` or when ``obj``
+        differs from the table in any field.
         """
-        from .perms import parse
-
-        n = int(obj["n"])
-        by_word = operator.attrgetter("word")
-        groups = [
-            sorted(map(parse, item["members"]), key=by_word) for item in obj["classes"]
-        ]
-        words = {m.word for members in groups for m in members}
-        if n > ENUMERATION_MAX_N or any(len(w) != n for w in words) or not (
-            all(groups) and sum(map(len, groups)) == len(words) == math.factorial(n)
-        ):
-            raise ValueError(
-                f"the class members are not the words of S_{n}, each once, in nonempty classes"
-            )
-        table = _assemble(n, [(class_key(members[0]), members) for members in groups])
+        n = obj.get("n")
+        if type(n) is not int:
+            raise ValueError(f"the entry's n is not an int: {n!r}")
+        table = enumerate_classes(n)
         if table.to_json_obj() != obj:
-            raise ValueError("the entry differs from the table its member lists give")
+            raise ValueError(f"the entry is not the table of S_{n}")
         return table
 
     def to_json(self) -> str:
@@ -411,20 +400,6 @@ class ClassTable:
                 [c.label, c.inversions, c.size, str(c.representative), " ".join(str(m) for m in c.members)]
             )
         return buf.getvalue()
-
-
-def _assemble(
-    n: int, groups: Iterable[tuple[CanonicalKey, Sequence[Permutation]]]
-) -> ClassTable:
-    """The table of the classes given as (key, members) pairs, members
-    ascending: sorted by (inversion count, least member), labeled "k.m"."""
-    # Least members are distinct, so the sort never compares past the word.
-    ordered = sorted((inversion_count(m[0]), m[0].word, tuple(m), ck) for ck, m in groups)
-    classes = []
-    for inv, run in itertools.groupby(ordered, key=lambda item: item[0]):
-        for within, (_, _, members, ck) in enumerate(run, start=1):
-            classes.append(GeoClass(f"{inv}.{within}", inv, members[0], members, ck))
-    return ClassTable(n, tuple(classes))
 
 
 def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -468,9 +443,15 @@ def enumerate_classes(n: int) -> ClassTable:
     member = Permutation._unchecked
     for w, ck in key_of.items():
         groups.setdefault(ck, []).append(member(w))
-    table = _assemble(n, groups.items())
-    assert sum(c.size for c in table.classes) == len(key_of)
-    return table
+    # Sorted by (inversion count, least member) and labeled "k.m"; least
+    # members are distinct, so the sort never compares past the word.
+    ordered = sorted((inversion_count(m[0]), m[0].word, tuple(m), ck) for ck, m in groups.items())
+    classes = []
+    for inv, run in itertools.groupby(ordered, key=lambda item: item[0]):
+        for within, (_, _, members, ck) in enumerate(run, start=1):
+            classes.append(GeoClass(f"{inv}.{within}", inv, members[0], members, ck))
+    assert sum(c.size for c in classes) == len(key_of)
+    return ClassTable(n, tuple(classes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import itertools
 import json
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +234,20 @@ def members_out_of_order(payload):
     largest["members"] = [first, *reversed(rest)]  # the representative stays first
 
 
+def classes_merged(payload):
+    """Classes 2.1 and 2.2 as one class, every other field rebuilt to match."""
+    classes = payload["classes"]
+    kept, gone = (next(c for c in classes if c["label"] == label) for label in ("2.1", "2.2"))
+    kept["members"] = sorted(kept["members"] + gone["members"])
+    classes.remove(gone)
+    classes.sort(key=lambda c: (c["inversions"], c["members"][0]))
+    for inversions, run in itertools.groupby(classes, key=lambda c: c["inversions"]):
+        for within, item in enumerate(run, start=1):
+            item["label"] = f"{inversions}.{within}"
+            item["representative"] = item["members"][0]
+    payload["count"] = len(classes)
+
+
 @pytest.mark.parametrize(
     "n, tamper",
     [
@@ -237,6 +255,7 @@ def members_out_of_order(payload):
         (4, one_class_relabelled),
         (4, class_order_reversed),
         (5, members_out_of_order),
+        (5, classes_merged),
     ],
 )
 def test_cache_entry_that_is_not_the_table_of_its_members_is_a_miss(capsys, n, tamper):
@@ -256,6 +275,27 @@ def test_cache_entry_that_is_not_the_table_of_its_members_is_a_miss(capsys, n, t
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == run_cli(capsys, *argv, "--no-cache")[1]
+
+
+def test_commands_leave_the_cache_alone(isolated_cache, capsys):
+    for argv in (["enumerate", "4"], ["poset", "4"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert not (isolated_cache / "cache").exists()
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    # The n = 7 json table is far larger than a pipe's buffer.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "geoposet.cli", "enumerate", "7", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_concurrent_saves_all_succeed(isolated_cache):
