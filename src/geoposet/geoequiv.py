@@ -117,7 +117,9 @@ def _nibbles(word: Iterable[int]) -> bytes:
     return bytes.fromhex(digits + "0" * (len(digits) & 1))
 
 
-def _block_codes(w: tuple[int, ...], a: int, b: int, least: int, memo: dict) -> tuple[bytes, bytes]:
+def _block_codes(
+    w: tuple[int, ...], a: int, b: int, least: int, memo: dict, quotients: dict
+) -> tuple[bytes, bytes]:
     """The code pair of the block w[a:b] whose least value is ``least``,
     normalised to the values 1..b−a, through ``memo``."""
     if b - a == 1:
@@ -125,26 +127,73 @@ def _block_codes(w: tuple[int, ...], a: int, b: int, least: int, memo: dict) -> 
     block = tuple([v - least + 1 for v in w[a:b]]) if least > 1 else w[a:b]
     pair = memo.get(block)
     if pair is None:
-        pair = memo[block] = _tree_codes(block, memo)
+        pair = memo[block] = _tree_codes(block, memo, quotients)
     return pair
 
 
-def _tree_codes(w: tuple[int, ...], memo: dict) -> tuple[bytes, bytes]:
+def _smaller(prefix: bytes, order, other_prefix: bytes, other_order) -> tuple:
+    """How to build the smaller of two encodings of one prime node: each is
+    a prefix of one length followed by the child codes picked in its order.
+    Unequal prefixes decide alone; equal ones leave both orders to try."""
+    if prefix == other_prefix:
+        return prefix, operator.itemgetter(*order), operator.itemgetter(*other_order)
+    if other_prefix < prefix:
+        prefix, order = other_prefix, other_order
+    return prefix, operator.itemgetter(*order), None
+
+
+def _quotient(by_value: list[int]) -> tuple[tuple, tuple]:
+    """A prime node's recipe for its code and its inverse code, given the
+    positions of its quotient σ's values 1..k (σ⁻¹, from 0): which prefix
+    of header and nibbles wins each ``min`` of ``_tree_codes``, and in what
+    order the children's codes follow it."""
+    k = len(by_value)
+    sigma = [0] * k
+    for rank, i in enumerate(by_value, 1):
+        sigma[i] = rank
+    head = bytes([_PRIME | k])
+    return (
+        # σ with the children by value; rc(σ⁻¹) with them in reversed position order
+        _smaller(
+            head + _nibbles(sigma),
+            by_value,
+            head + _nibbles([k - i for i in reversed(by_value)]),
+            range(k - 1, -1, -1),
+        ),
+        # σ⁻¹ with the inverse codes by position; rc(σ) with them by value, reversed
+        _smaller(
+            head + _nibbles([i + 1 for i in by_value]),
+            range(k),
+            head + _nibbles([k + 1 - s for s in reversed(sigma)]),
+            by_value[::-1],
+        ),
+    )
+
+
+def _tree_codes(
+    w: tuple[int, ...], memo: dict, quotients: Optional[dict] = None
+) -> tuple[bytes, bytes]:
     """The codes of D(w) and of D(w⁻¹) for a word w of the values 1..m,
     from one walk of w's substitution tree: equal codes hold exactly for
     isomorphic digraphs.  ``memo`` maps normalised blocks of w, as tuples,
-    to their code pairs; w itself is not stored.  See ``_word_key``."""
+    to their code pairs; w itself is not stored.  ``quotients`` maps each
+    prime quotient met, keyed by ``bytes(σ⁻¹)`` from 0, to its ``_quotient``
+    recipe; every prime quotient is a simple permutation, and S₈ has only
+    3 318 of them.  Without ``quotients`` the walk starts a fresh table.
+    See ``_word_key``."""
     m = len(w)
     if m < 3:
         return _LEAVES if m == 1 else _RISES if w[0] == 1 else _FALLS
     if m > KEY_MAX_N:
         raise ValueError(f"class keys are supported for n <= {KEY_MAX_N}")
+    if quotients is None:
+        quotients = {}
     sums = list(itertools.accumulate(w))
     gaps = list(map(operator.sub, sums, _LEAST))
     if gaps.count(0) > 1:  # ⊕ blocks: no arcs between them
         cuts = [k for k, gap in enumerate(gaps, 1) if not gap]
         codes, inverse_codes = zip(
-            *[_block_codes(w, a, b, a + 1, memo) for a, b in zip([0, *cuts], cuts)]
+            *[_block_codes(w, a, b, a + 1, memo, quotients) for a, b in zip([0, *cuts], cuts)]
         )
         head = bytes([_SUM | len(cuts)])
         return head + b"".join(sorted(codes)), head + b"".join(sorted(inverse_codes))
@@ -152,7 +201,7 @@ def _tree_codes(w: tuple[int, ...], memo: dict) -> tuple[bytes, bytes]:
     if gaps.count(0) > 1:  # ⊖ blocks: every arc joins an earlier block to a later one
         cuts = [k for k, gap in enumerate(gaps, 1) if not gap]
         codes, inverse_codes = zip(
-            *[_block_codes(w, a, b, m - b + 1, memo) for a, b in zip([0, *cuts], cuts)]
+            *[_block_codes(w, a, b, m - b + 1, memo, quotients) for a, b in zip([0, *cuts], cuts)]
         )
         head = bytes([_SKEW | len(cuts)])
         return head + b"".join(codes), head + b"".join(reversed(inverse_codes))
@@ -170,27 +219,22 @@ def _tree_codes(w: tuple[int, ...], memo: dict) -> tuple[bytes, bytes]:
                 hi = v
             if hi - lo == j - a:
                 b, least = j + 1, lo
-        pairs.append(_block_codes(w, a, b, least, memo))
+        pairs.append(_block_codes(w, a, b, least, memo, quotients))
         mins.append(least)
         a = b
-    k = len(pairs)
-    by_value = sorted(range(k), key=mins.__getitem__)  # σ⁻¹, from 0
-    sigma = [0] * k
-    for rank, i in enumerate(by_value, 1):
-        sigma[i] = rank
+    by_value = sorted(range(len(mins)), key=mins.__getitem__)  # σ⁻¹, from 0
+    key = bytes(by_value)
+    recipe = quotients.get(key)
+    if recipe is None:
+        recipe = quotients[key] = _quotient(by_value)
+    (prefix, pick, tie), (inverse_prefix, inverse_pick, inverse_tie) = recipe
     codes, inverse_codes = zip(*pairs)
-    head = bytes([_PRIME | k])
-    code = min(
-        head + _nibbles(sigma) + b"".join(map(codes.__getitem__, by_value)),
-        head + _nibbles([k - i for i in reversed(by_value)]) + b"".join(reversed(codes)),
-    )
-    # w⁻¹ is σ⁻¹ with w's blocks, inverted, in w's value order.
-    inverse_code = min(
-        head + _nibbles([i + 1 for i in by_value]) + b"".join(inverse_codes),
-        head
-        + _nibbles([k + 1 - s for s in reversed(sigma)])
-        + b"".join(map(inverse_codes.__getitem__, reversed(by_value))),
-    )
+    code = prefix + b"".join(pick(codes))
+    if tie:
+        code = min(code, prefix + b"".join(tie(codes)))
+    inverse_code = inverse_prefix + b"".join(inverse_pick(inverse_codes))
+    if inverse_tie:
+        inverse_code = min(inverse_code, inverse_prefix + b"".join(inverse_tie(inverse_codes)))
     return code, inverse_code
 
 
@@ -404,7 +448,8 @@ class ClassTable:
 
 def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     """rc(w⁻¹), the word of k ↦ n+1−w⁻¹(n+1−k): the reverse-complement of
-    the inverse."""
+    the inverse.  The tests' reference form of the orbit images that
+    ``enumerate_classes`` takes with one ``map`` each."""
     n = len(w)
     word = [0] * n
     for k, v in enumerate(w):
@@ -421,23 +466,27 @@ def enumerate_classes(n: int) -> ClassTable:
     D(rc(w⁻¹)) and D(w⁻¹) onto D(rc(w)).  The walk gives the keys of D(w)
     and D(w⁻¹), and the smaller is the class key of all four words; at
     n = 8 that is 10 558 walks for 40 320 words.  The walks share one memo
-    of their blocks' codes.  Refuses n outside 1..9: the scan is exact and
-    the factorial growth makes larger n a different project.
+    of their blocks' codes and one table of their prime quotients.  Refuses
+    any n that is not an int in 1..9: the scan is exact and the factorial
+    growth makes larger n a different project.
     """
-    if not 1 <= n <= ENUMERATION_MAX_N:
+    if type(n) is not int or not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(
-            f"class enumeration supports 1 <= n <= {ENUMERATION_MAX_N}; got n={n}"
+            f"class enumeration supports 1 <= n <= {ENUMERATION_MAX_N}; got n={n!r}"
         )
     # Lexicographic order, kept by the dict: the first word of each orbit
     # met is the one walked, and each group below is built in order.
     key_of = dict.fromkeys(itertools.permutations(range(1, n + 1)))
+    flip = (0, *range(n, 0, -1)).__getitem__  # v ↦ n+1−v
     memo: dict = {}
+    quotients: dict = {}
     for w, ck in key_of.items():
         if ck is None:
             inv = inverse_word(w)
-            ck = min(_tree_codes(w, memo))
-            key_of[w] = key_of[inv] = key_of[_rc_inverse(w)] = key_of[_rc_inverse(inv)] = ck
-    del memo
+            ck = min(_tree_codes(w, memo, quotients))
+            key_of[w] = key_of[inv] = ck
+            key_of[tuple(map(flip, reversed(w)))] = key_of[tuple(map(flip, reversed(inv)))] = ck
+    del memo, quotients
 
     groups: dict[CanonicalKey, list[Permutation]] = {}
     member = Permutation._unchecked

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Pair = tuple[int, int]
+_DIGITS = "0123456789"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Permutation:
     """A permutation of {1..n} in one-line word form.
 
@@ -70,8 +72,8 @@ class Permutation:
 
     def __str__(self) -> str:
         if self.n <= 9:
-            return "".join(str(v) for v in self.word)
-        return ",".join(str(v) for v in self.word)
+            return "".join(map(_DIGITS.__getitem__, self.word))
+        return ",".join(map(str, self.word))
 
 
 def identity(n: int) -> Permutation:
@@ -200,9 +202,8 @@ def inversion_set(p: Permutation) -> PairSet:
 
 
 def inversion_count(p: Permutation) -> int:
-    word = p.word
-    n = len(word)
-    return sum(1 for a in range(n) for b in range(a + 1, n) if word[a] > word[b])
+    """The number of pairs of positions whose values are out of order."""
+    return sum(itertools.starmap(operator.gt, itertools.combinations(p.word, 2)))
 
 
 def is_inversion_set(ps: PairSet) -> bool:

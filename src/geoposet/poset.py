@@ -189,7 +189,7 @@ def build_poset(source: "int | ClassTable") -> Poset:
     other candidate's finished row contains, whatever order the unknowns
     were decided in.  The rows and covers go to ``checked_poset``.
     """
-    table = enumerate_classes(source) if isinstance(source, int) else source
+    table = source if isinstance(source, ClassTable) else enumerate_classes(source)
     counts = [c.inversions for c in table.classes]
     shapes = [_shapes(c.representative) for c in table.classes]
     size = len(shapes)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -28,6 +29,7 @@ from geoposet.perms import (
     all_permutations,
     identity,
     inverse,
+    inverse_word,
     inversion_count,
     inversion_set,
     parse,
@@ -246,9 +248,9 @@ def test_enumerate_keys_one_word_per_orbit(monkeypatch):
     tree_codes = geoequiv._tree_codes
     walked = []
 
-    def counting(w, memo):
+    def counting(w, memo, quotients=None):
         walked.append(w)
-        return tree_codes(w, memo)
+        return tree_codes(w, memo, quotients)
 
     monkeypatch.setattr(geoequiv, "_tree_codes", counting)
     for n, orbit_count in ((5, 45), (6, 230), (7, 1388), (8, 10558)):
@@ -272,6 +274,55 @@ def test_shared_memo_gives_fresh_codes():
     for w in itertools.permutations(range(1, 8)):
         assert geoequiv._tree_codes(w, memo) == geoequiv._tree_codes(w, {}), w
     assert memo and max(map(len, memo)) < 7
+
+
+def _is_simple(sigma) -> bool:
+    """No proper interval of 2..k−1 positions holds consecutive values."""
+    k = len(sigma)
+    return not any(
+        max(sigma[a:b]) - min(sigma[a:b]) == b - a - 1
+        for a in range(k)
+        for b in range(a + 2, min(a + k, k + 1))
+    )
+
+
+@pytest.mark.parametrize("n, entries", [(4, 2), (5, 8), (6, 54), (7, 392), (8, 3318)])
+def test_quotient_table_holds_the_simple_permutations(n, entries):
+    # every prime quotient is simple, and S_n meets every simple permutation
+    # of length 4..n; their counts are 2, 6, 46, 338, 2 926 (OEIS A111111)
+    memo, quotients = {}, {}
+    for w in itertools.permutations(range(1, n + 1)):
+        geoequiv._tree_codes(w, memo, quotients)
+    assert len(quotients) == entries
+    for by_value in quotients:
+        assert _is_simple(inverse_word(tuple(i + 1 for i in by_value))), by_value
+
+
+def test_shared_quotient_table_gives_fresh_codes():
+    memo, quotients = {}, {}
+    for w in itertools.permutations(range(1, 8)):
+        assert geoequiv._tree_codes(w, memo, quotients) == geoequiv._tree_codes(w, {}), w
+    assert max(map(len, memo)) < 7 and len(quotients) == 392
+
+
+def _sha256_of_codes(codes) -> str:
+    """sha256 over the codes, each prefixed by its length as one byte."""
+    digest = hashlib.sha256()
+    for code in codes:
+        digest.update(bytes([len(code)]) + code)
+    return digest.hexdigest()
+
+
+def test_key_bytes_are_pinned():
+    # poset compares class keys, so a changed key byte could alter the order
+    # while every enumerate output stays the same
+    pairs = (geoequiv._tree_codes(w, {}) for w in itertools.permutations(range(1, 8)))
+    assert _sha256_of_codes(code for pair in pairs for code in pair) == (
+        "3c4e7644bc9e6e098ebadcb9ba71805a91019a9bd889a77b1f5101fa56057d68"
+    )
+    assert _sha256_of_codes(c.key for c in enumerate_classes(7).classes) == (
+        "a79c942212d425cb3fba6c56439a5d1db7d0276f4ae631ac7282b8f2c1bd3303"
+    )
 
 
 def test_class_key_is_the_smaller_word_key():

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,39 @@ def test_round_trip_randomized(word):
     p = Permutation(tuple(word))
     assert perm_from_inversion_set(inversion_set(p)) == p
     assert inversion_count(p) == len(inversion_set(p))
+
+
+def test_inversion_count_matches_naive_oracle():
+    for n in range(1, 7):
+        for p in all_permutations(n):
+            assert inversion_count(p) == len(naive_inversions(p.word)), str(p)
+
+
+def test_word_text_is_digits_to_9_then_commas():
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            assert str(p) == "".join(str(v) for v in p.word)
+    for n in range(10, 13):
+        p = Permutation(tuple(range(n, 0, -1)))
+        assert str(p) == ",".join(str(v) for v in p.word)
+        assert parse(str(p)) == p
+
+
+def test_permutation_is_slotted_frozen_and_unchanged_on_s4():
+    p = Permutation((2, 4, 3, 1))
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.word = (1, 2, 3, 4)
+    words = list(itertools.permutations(range(1, 5)))
+    perms = [Permutation(w) for w in words]
+    for p, w in zip(perms, words):
+        q = Permutation._unchecked(w)
+        assert q == p and hash(q) == hash(p) == hash((w,))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            r = pickle.loads(pickle.dumps(p, protocol))
+            assert type(r) is Permutation and r == p and r.word == w
+    for (p, w), (q, v) in itertools.product(zip(perms, words), repeat=2):
+        assert (p < q, p <= q, p == q) == (w < v, w <= v, w == v)
 
 
 def test_pair_set_serialization_sorted():

@@ -528,6 +528,15 @@ def test_extension_is_proper_at_n5():
             assert not bruhat_below(sigma, pi)
 
 
+def test_enumerate_and_build_poset_refuse_n_that_is_not_an_int():
+    # True used to run as n = 1; 8.0 and "8" failed with TypeError or AttributeError
+    for bad in (True, 8.0, "8"):
+        with pytest.raises(ValueError, match="class enumeration supports"):
+            enumerate_classes(bad)
+        with pytest.raises(ValueError, match="class enumeration supports"):
+            build_poset(bad)
+
+
 def test_extension_check_rejects_large_n():
     with pytest.raises(ValueError):
         bruhat_extension_check(7)
