@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .graphs import Graph, bits, is_closed
-from .perms import Pair, Permutation, inversion_set, pair_masks, word_from_masks
+from .perms import Pair, Permutation, _check_size, inversion_set, pair_masks, word_from_masks
 # Not called here; perfbench/spans.py wraps this name on this module.
 from .perms import perm_from_inversion_set  # noqa: F401
 
@@ -42,13 +42,12 @@ class Digraph:
     def __post_init__(self) -> None:
         arcs = frozenset(tuple(a) for a in self.arcs)
         object.__setattr__(self, "arcs", arcs)
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        _check_size(self.n)
         for u, v in arcs:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"arc {(u, v)} out of range for n={self.n}")
+            if not (type(u) is type(v) is int and 1 <= u <= self.n and 1 <= v <= self.n):
+                raise ValueError(f"invalid arc {(u, v)} for n={self.n}")
 
     def sorted_arcs(self) -> list[Pair]:
         return sorted(self.arcs)

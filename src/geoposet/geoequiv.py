@@ -98,10 +98,7 @@ def equivalent_fast(sigma: Permutation, pi: Permutation) -> bool:
 
 
 _SUM, _SKEW, _PRIME = 1 << 5, 2 << 5, 3 << 5  # a node's header is kind | child count
-# The code pairs of 1, 12 and 21, each its own inverse.
-_LEAVES = (b"\x00",) * 2
-_RISES = (bytes([_SUM | 2, 0, 0]),) * 2
-_FALLS = (bytes([_SKEW | 2, 0, 0]),) * 2
+_LEAVES = (b"\x00",) * 2  # the code pair of the word 1, its own inverse
 _NIBBLE = "-0123456789abcdef"  # _NIBBLE[v]: the value v of 1..16 as a hex digit
 # The sums of the k least and of the k greatest of the values 1..m: a word's
 # prefix sum meets them exactly where it has a ⊕ or a ⊖ cut.
@@ -117,9 +114,7 @@ def _nibbles(word: Iterable[int]) -> bytes:
     return bytes.fromhex(digits + "0" * (len(digits) & 1))
 
 
-def _block_codes(
-    w: tuple[int, ...], a: int, b: int, least: int, memo: dict, quotients: dict
-) -> tuple[bytes, bytes]:
+def _block_codes(w: tuple[int, ...], a: int, b: int, least: int, memo: dict) -> tuple[bytes, bytes]:
     """The code pair of the block w[a:b] whose least value is ``least``,
     normalised to the values 1..b−a, through ``memo``."""
     if b - a == 1:
@@ -127,7 +122,7 @@ def _block_codes(
     block = tuple([v - least + 1 for v in w[a:b]]) if least > 1 else w[a:b]
     pair = memo.get(block)
     if pair is None:
-        pair = memo[block] = _tree_codes(block, memo, quotients)
+        pair = memo[block] = _tree_codes(block, memo)
     return pair
 
 
@@ -170,30 +165,26 @@ def _quotient(by_value: list[int]) -> tuple[tuple, tuple]:
     )
 
 
-def _tree_codes(
-    w: tuple[int, ...], memo: dict, quotients: Optional[dict] = None
-) -> tuple[bytes, bytes]:
+def _tree_codes(w: tuple[int, ...], memo: dict) -> tuple[bytes, bytes]:
     """The codes of D(w) and of D(w⁻¹) for a word w of the values 1..m,
     from one walk of w's substitution tree: equal codes hold exactly for
-    isomorphic digraphs.  ``memo`` maps normalised blocks of w, as tuples,
-    to their code pairs; w itself is not stored.  ``quotients`` maps each
-    prime quotient met, keyed by ``bytes(σ⁻¹)`` from 0, to its ``_quotient``
-    recipe; every prime quotient is a simple permutation, and S₈ has only
-    3 318 of them.  Without ``quotients`` the walk starts a fresh table.
+    isomorphic digraphs.  ``memo`` holds all the walks learn: it maps
+    normalised blocks of w, as tuples, to their code pairs (w itself is not
+    stored), and each prime quotient σ met, as ``bytes(σ⁻¹)`` from 0, to its
+    ``_quotient`` recipe.  A tuple key never equals a bytes key.  Every
+    prime quotient is a simple permutation, and S₈ has only 3 318 of them.
     See ``_word_key``."""
     m = len(w)
-    if m < 3:
-        return _LEAVES if m == 1 else _RISES if w[0] == 1 else _FALLS
+    if m == 1:
+        return _LEAVES
     if m > KEY_MAX_N:
         raise ValueError(f"class keys are supported for n <= {KEY_MAX_N}")
-    if quotients is None:
-        quotients = {}
     sums = list(itertools.accumulate(w))
     gaps = list(map(operator.sub, sums, _LEAST))
     if gaps.count(0) > 1:  # ⊕ blocks: no arcs between them
         cuts = [k for k, gap in enumerate(gaps, 1) if not gap]
         codes, inverse_codes = zip(
-            *[_block_codes(w, a, b, a + 1, memo, quotients) for a, b in zip([0, *cuts], cuts)]
+            *[_block_codes(w, a, b, a + 1, memo) for a, b in zip([0, *cuts], cuts)]
         )
         head = bytes([_SUM | len(cuts)])
         return head + b"".join(sorted(codes)), head + b"".join(sorted(inverse_codes))
@@ -201,7 +192,7 @@ def _tree_codes(
     if gaps.count(0) > 1:  # ⊖ blocks: every arc joins an earlier block to a later one
         cuts = [k for k, gap in enumerate(gaps, 1) if not gap]
         codes, inverse_codes = zip(
-            *[_block_codes(w, a, b, m - b + 1, memo, quotients) for a, b in zip([0, *cuts], cuts)]
+            *[_block_codes(w, a, b, m - b + 1, memo) for a, b in zip([0, *cuts], cuts)]
         )
         head = bytes([_SKEW | len(cuts)])
         return head + b"".join(codes), head + b"".join(reversed(inverse_codes))
@@ -219,14 +210,14 @@ def _tree_codes(
                 hi = v
             if hi - lo == j - a:
                 b, least = j + 1, lo
-        pairs.append(_block_codes(w, a, b, least, memo, quotients))
+        pairs.append(_block_codes(w, a, b, least, memo))
         mins.append(least)
         a = b
     by_value = sorted(range(len(mins)), key=mins.__getitem__)  # σ⁻¹, from 0
     key = bytes(by_value)
-    recipe = quotients.get(key)
+    recipe = memo.get(key)
     if recipe is None:
-        recipe = quotients[key] = _quotient(by_value)
+        recipe = memo[key] = _quotient(by_value)
     (prefix, pick, tie), (inverse_prefix, inverse_pick, inverse_tie) = recipe
     codes, inverse_codes = zip(*pairs)
     code = prefix + b"".join(pick(codes))
@@ -446,17 +437,6 @@ class ClassTable:
         return buf.getvalue()
 
 
-def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    """rc(w⁻¹), the word of k ↦ n+1−w⁻¹(n+1−k): the reverse-complement of
-    the inverse.  The tests' reference form of the orbit images that
-    ``enumerate_classes`` takes with one ``map`` each."""
-    n = len(w)
-    word = [0] * n
-    for k, v in enumerate(w):
-        word[n - v] = n - k
-    return tuple(word)
-
-
 def enumerate_classes(n: int) -> ClassTable:
     """Partition all of S_n into geo-equivalence classes.
 
@@ -465,8 +445,8 @@ def enumerate_classes(n: int) -> ClassTable:
     and so does rc, so the relabelling v ↦ n+1−pos(v) carries D(w) onto
     D(rc(w⁻¹)) and D(w⁻¹) onto D(rc(w)).  The walk gives the keys of D(w)
     and D(w⁻¹), and the smaller is the class key of all four words; at
-    n = 8 that is 10 558 walks for 40 320 words.  The walks share one memo
-    of their blocks' codes and one table of their prime quotients.  Refuses
+    n = 8 that is 10 558 walks for 40 320 words.  The walks share one memo,
+    of their blocks' codes and their prime quotients' recipes.  Refuses
     any n that is not an int in 1..9: the scan is exact and the factorial
     growth makes larger n a different project.
     """
@@ -479,14 +459,13 @@ def enumerate_classes(n: int) -> ClassTable:
     key_of = dict.fromkeys(itertools.permutations(range(1, n + 1)))
     flip = (0, *range(n, 0, -1)).__getitem__  # v ↦ n+1−v
     memo: dict = {}
-    quotients: dict = {}
     for w, ck in key_of.items():
         if ck is None:
             inv = inverse_word(w)
-            ck = min(_tree_codes(w, memo, quotients))
+            ck = min(_tree_codes(w, memo))
             key_of[w] = key_of[inv] = ck
             key_of[tuple(map(flip, reversed(w)))] = key_of[tuple(map(flip, reversed(inv)))] = ck
-    del memo, quotients
+    del memo
 
     groups: dict[CanonicalKey, list[Permutation]] = {}
     member = Permutation._unchecked

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Pair, Permutation, inversion_set, pair_masks
+from .perms import Pair, Permutation, _check_pairs, inversion_set, pair_masks
 
 
 @dataclass(frozen=True)
@@ -18,11 +18,7 @@ class Graph:
     def __post_init__(self) -> None:
         edges = frozenset(tuple(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        for u, v in edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"invalid edge {(u, v)} for n={self.n}")
+        _check_pairs(self.n, edges, "edge")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -47,8 +47,9 @@ class Permutation:
         object.__setattr__(self, "word", word)
         if not word:
             raise ValueError("empty permutation word")
-        if sorted(word) != list(range(1, len(word) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(word)}: {word!r}")
+        n = len(word)
+        if list(map(type, word)).count(int) != n or sorted(word) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {word!r}")
 
     @classmethod
     def _unchecked(cls, word: tuple[int, ...]) -> "Permutation":
@@ -145,6 +146,21 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(word)
 
 
+def _check_size(n: int) -> None:
+    """Refuse an n that is not an int of at least 1: bools and floats too."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive int; got n={n!r}")
+
+
+def _check_pairs(n: int, pairs: Iterable[Pair], name: str) -> None:
+    """Refuse a bad n (``_check_size``) or any pair that is not two ints
+    with 1 <= i < j <= n; ``name`` is what the error calls a pair."""
+    _check_size(n)
+    for i, j in pairs:
+        if not (type(i) is type(j) is int and 1 <= i < j <= n):
+            raise ValueError(f"invalid {name} {(i, j)} for n={n}")
+
+
 @dataclass(frozen=True)
 class PairSet:
     """A set of pairs (i, j) with 1 <= i < j <= n."""
@@ -155,11 +171,7 @@ class PairSet:
     def __post_init__(self) -> None:
         pairs = frozenset(tuple(p) for p in self.pairs)
         object.__setattr__(self, "pairs", pairs)
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        for i, j in pairs:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"invalid pair {(i, j)} for n={self.n}")
+        _check_pairs(self.n, pairs, "pair")
 
     @classmethod
     def universe(cls, n: int) -> "PairSet":

@@ -500,6 +500,26 @@ def test_verify_5_stdout(capsys):
     assert out.splitlines() == VERIFY_5_STDOUT
 
 
+def test_verify_reports_a_failing_suite(tmp_path, capsys, monkeypatch):
+    from geoposet import verify
+
+    def failing(n_max, rng):
+        return False, f"planted failure at n_max={n_max}"
+
+    suites = [(name, failing if name == "class-counts" else fn) for name, fn in verify._SUITES]
+    monkeypatch.setattr(verify, "_SUITES", suites)
+    js = tmp_path / "verify.json"
+    code, out, _ = run_cli(capsys, "verify", "3", "--json", str(js))
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL class-counts: planted failure at n_max=3" in lines
+    assert sum(line.startswith("FAIL ") for line in lines) == 1
+    assert "verified 14 suites; ok = False" in lines
+    payload = json.loads(js.read_text())
+    assert payload["ok"] is False
+    assert [s["name"] for s in payload["suites"] if not s["ok"]] == ["class-counts"]
+
+
 def test_verify_trivial_n1(capsys):
     code, out, _ = run_cli(capsys, "verify", "1")
     assert code == 0 and "ok = True" in out

@@ -231,8 +231,19 @@ def test_word_key_shared_by_rc_inverse(n):
     # one word per {w, w^-1, rc(w), rc(w^-1)} orbit on the strength of it
     for p in all_permutations(n):
         rc_inv = tuple(n + 1 - v for v in reversed(inverse(p).word))
-        assert geoequiv._rc_inverse(p.word) == rc_inv
+        assert _rc_inverse(p.word) == rc_inv
         assert geoequiv._word_key(p.word) == geoequiv._word_key(rc_inv), str(p)
+
+
+def _rc_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    """rc(w⁻¹), the word of k ↦ n+1−w⁻¹(n+1−k): the reverse-complement of
+    the inverse.  The reference form of the orbit images that
+    ``enumerate_classes`` takes with one ``map`` each."""
+    n = len(w)
+    word = [0] * n
+    for k, v in enumerate(w):
+        word[n - v] = n - k
+    return tuple(word)
 
 
 def _four_orbit(w) -> frozenset:
@@ -248,9 +259,9 @@ def test_enumerate_keys_one_word_per_orbit(monkeypatch):
     tree_codes = geoequiv._tree_codes
     walked = []
 
-    def counting(w, memo, quotients=None):
+    def counting(w, memo):
         walked.append(w)
-        return tree_codes(w, memo, quotients)
+        return tree_codes(w, memo)
 
     monkeypatch.setattr(geoequiv, "_tree_codes", counting)
     for n, orbit_count in ((5, 45), (6, 230), (7, 1388), (8, 10558)):
@@ -273,7 +284,16 @@ def test_shared_memo_gives_fresh_codes():
     memo = {}
     for w in itertools.permutations(range(1, 8)):
         assert geoequiv._tree_codes(w, memo) == geoequiv._tree_codes(w, {}), w
-    assert memo and max(map(len, memo)) < 7
+    blocks, _ = _walk_state(memo)
+    assert blocks and max(map(len, blocks)) < 7
+
+
+def _walk_state(memo) -> tuple[list, list]:
+    """The memo's block keys (tuples) and prime-quotient keys (bytes)."""
+    blocks = [key for key in memo if type(key) is tuple]
+    quotients = [key for key in memo if type(key) is bytes]
+    assert len(blocks) + len(quotients) == len(memo)
+    return blocks, quotients
 
 
 def _is_simple(sigma) -> bool:
@@ -290,19 +310,21 @@ def _is_simple(sigma) -> bool:
 def test_quotient_table_holds_the_simple_permutations(n, entries):
     # every prime quotient is simple, and S_n meets every simple permutation
     # of length 4..n; their counts are 2, 6, 46, 338, 2 926 (OEIS A111111)
-    memo, quotients = {}, {}
+    memo = {}
     for w in itertools.permutations(range(1, n + 1)):
-        geoequiv._tree_codes(w, memo, quotients)
+        geoequiv._tree_codes(w, memo)
+    _, quotients = _walk_state(memo)
     assert len(quotients) == entries
     for by_value in quotients:
         assert _is_simple(inverse_word(tuple(i + 1 for i in by_value))), by_value
 
 
 def test_shared_quotient_table_gives_fresh_codes():
-    memo, quotients = {}, {}
+    memo = {}
     for w in itertools.permutations(range(1, 8)):
-        assert geoequiv._tree_codes(w, memo, quotients) == geoequiv._tree_codes(w, {}), w
-    assert max(map(len, memo)) < 7 and len(quotients) == 392
+        assert geoequiv._tree_codes(w, memo) == geoequiv._tree_codes(w, {}), w
+    blocks, quotients = _walk_state(memo)
+    assert max(map(len, blocks)) < 7 and len(quotients) == 392
 
 
 def _sha256_of_codes(codes) -> str:
@@ -424,9 +446,9 @@ def _isomorphic_pair(draw) -> tuple[tuple[int, ...], tuple[int, ...]]:
     sigma = tuple(draw(st.permutations(range(1, k + 1))))
     w = _inflate(sigma, pieces)
     if how == "rc-inverse":
-        return w, geoequiv._rc_inverse(w)
+        return w, _rc_inverse(w)
     # rc(σ⁻¹) lists by value the blocks of σ in reversed position order
-    tau = geoequiv._rc_inverse(sigma)
+    tau = _rc_inverse(sigma)
     return w, _inflate(tau, [pieces[k - t] for t in tau])
 
 
@@ -500,6 +522,12 @@ def test_table_json_round_trip():
     assert obj["count"] == 12
     again = ClassTable.from_json_obj(obj)
     assert again.to_json() == table.to_json()
+
+
+@pytest.mark.parametrize("obj", [{"n": "5"}, {"n": 5.0}, {"n": True}, {}], ids=repr)
+def test_table_from_json_obj_refuses_an_n_that_is_not_an_int(obj):
+    with pytest.raises(ValueError, match="n is not an int"):
+        ClassTable.from_json_obj(obj)
 
 
 def test_table_csv_shape():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoposet.digraphs import Digraph
+from geoposet.graphs import Graph
 from geoposet.perms import (
     OrientationClass,
     PairSet,
@@ -289,6 +291,31 @@ def test_permutation_is_slotted_frozen_and_unchanged_on_s4():
             assert type(r) is Permutation and r == p and r.word == w
     for (p, w), (q, v) in itertools.product(zip(perms, words), repeat=2):
         assert (p < q, p <= q, p == q) == (w < v, w <= v, w == v)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (Permutation, ((1.0, 2.0),)),
+        (Permutation, ((2, True),)),
+        (PairSet, (3, {(1.0, 2)})),
+        (PairSet, (3, {(True, 2)})),
+        (PairSet, (3.0, {(1, 2)})),
+        (Graph, (3, {(1.0, 2)})),
+        (Graph, (3, {(True, 2)})),
+        (Graph, (3.0, {(1, 2)})),
+        (Graph, (True, set())),
+        (Digraph, (3, {(1.0, 2)})),
+        (Digraph, (3, {(2, True)})),
+        (Digraph, (3.0, {(1, 2)})),
+    ],
+    ids=lambda value: repr(value) if isinstance(value, tuple) else value.__name__,
+)
+def test_io_types_refuse_non_int_values(build, args):
+    # each of these equals a valid value under ==, so only a type check
+    # stops it before str, inverse or decompose fail on it later
+    with pytest.raises(ValueError):
+        build(*args)
 
 
 def test_pair_set_serialization_sorted():
