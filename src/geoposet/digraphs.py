@@ -65,7 +65,9 @@ class Digraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Digraph":
-        return cls(int(obj["n"]), frozenset((int(u), int(v)) for u, v in obj["arcs"]))
+        """The digraph ``to_json_obj`` wrote; n and the arc ends are taken
+        as they are, so ``__post_init__`` refuses floats, strings and bools."""
+        return cls(obj["n"], frozenset(map(tuple, obj["arcs"])))
 
 
 def from_perm(p: Permutation) -> Digraph:

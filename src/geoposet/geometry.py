@@ -106,7 +106,12 @@ def _fmt(q: Fraction) -> str:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(str(text))
+    """The fraction ``text`` spells; ValueError on any malformed one, a zero
+    denominator included."""
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def orient(p: Point, q: Point, r: Point) -> Fraction:

@@ -14,9 +14,15 @@ whose internal nodes fall into three kinds:
 
 The number of transitive orientations of a transitively orientable graph is
 the product of k! over degenerate 1-nodes with k children and 2 per prime
-node.  For cographs (no prime nodes anywhere) the tree also determines how
+node.
+
+For cograph words (no prime nodes anywhere) the tree also determines how
 many permutations a given orientation represents, hence the exact size of a
-geo-equivalence class without enumerating S_n.
+geo-equivalence class without enumerating S_n.  ``cograph_class_size``
+reads it off the word's substitution tree, the one the class key walks,
+with no graph decomposition: a ⊕ node (a degenerate 0-node) with k
+children contributes k! over the factorials of the multiplicities of its
+child codes, and a ⊖ node (a degenerate 1-node) contributes 1.
 """
 
 from __future__ import annotations
@@ -24,15 +30,15 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .geoequiv import _tree_codes, _word_key
-from .graphs import Graph, bits, components_within, inversion_graph
+from .geoequiv import _separable_count, _tree_codes
+from .graphs import Graph, bits, components_within
 from .perms import Permutation
-# Not called here; perfbench/spans.py wraps these two names on this module.
+# Not called here; perfbench/spans.py wraps these three names on this module.
 from .digraphs import canonical_key, from_perm  # noqa: F401
+from .graphs import inversion_graph  # noqa: F401
 
 
 class NodeKind(enum.Enum):
@@ -198,7 +204,10 @@ def count_transitive_orientations(g: Graph) -> int:
     Degenerate 1-nodes with k children contribute k! (their quotient is a
     complete graph), prime nodes contribute 2 when their quotient is
     orientable at all, and a single non-orientable prime quotient makes the
-    whole count 0.
+    whole count 0.  In a prime quotient the arcs forced by one oriented
+    edge cover every edge, and unless they force both directions of some
+    edge they are transitive (Gallai 1967): that orientation and its
+    reverse are the only two.  Both facts are asserted.
     """
     tree = decompose(g)
     total = 1
@@ -206,8 +215,11 @@ def count_transitive_orientations(g: Graph) -> int:
         if node.kind is NodeKind.DEGENERATE_1:
             total *= math.factorial(len(node.children))
         elif node.kind is NodeKind.PRIME:
-            if not _prime_is_orientable(quotient_graph(g, node)):
+            q = quotient_graph(g, node)
+            out = _forced_arcs(q)
+            if out is None:
                 return 0
+            assert _orients(q, out), "conflict-free forcing orients a prime graph transitively"
             total *= 2
     return total
 
@@ -241,21 +253,6 @@ def _orients(q: Graph, out: list[int]) -> bool:
     return sum(o.bit_count() for o in out) == len(q.edges) and all(
         out[y] & ~out[x] == 0 for x in range(q.n) for y in bits(out[x])
     )
-
-
-def _prime_is_orientable(q: Graph) -> bool:
-    """Whether a prime quotient has a transitive orientation (then exactly 2).
-
-    In a prime graph the arcs forced by one oriented edge cover every edge,
-    and unless they force both directions of some edge they are transitive
-    (Gallai 1967): that orientation and its reverse are the only two.  Both
-    facts are asserted.
-    """
-    out = _forced_arcs(q)
-    if out is None:
-        return False
-    assert _orients(q, out), "conflict-free forcing orients a prime graph transitively"
-    return True
 
 
 def is_cograph(g: Graph) -> bool:
@@ -300,35 +297,24 @@ class ClassSizeReport:
 def cograph_class_size(p: Permutation) -> ClassSizeReport:
     """Size of the class of p when its inversion graph is a cograph.
 
-    At each degenerate 0-node, permuting children that induce isomorphic
-    sub-digraphs of D(p) never changes the represented permutation, so the
-    node contributes k! divided by the factorials of the isomorphism-type
-    multiplicities.  The sub-digraph on a child's values is the digraph of
-    the pattern of p on them: the subsequence of those values, standardized.
-    The class holds the represented permutations of both D(p) and its
-    reversal, which coincide exactly when D(p) and D(p inverse) are
-    isomorphic.
+    Read off the class key's substitution tree (``geoequiv._tree_codes``),
+    with no graph decomposition: the inversion graph is a cograph exactly
+    when the word's tree has no prime node, and then its ⊕ nodes are the
+    degenerate 0-nodes and its ⊖ nodes the degenerate 1-nodes.  Permuting
+    ⊕ children that induce isomorphic sub-digraphs of D(p) never changes
+    the represented permutation, so a ⊕ node with k children contributes
+    k! over the factorials of the multiplicities of its child codes, and a
+    ⊖ node, whose children keep their order, contributes 1
+    (``geoequiv._separable_count``).  The class holds the represented
+    permutations of both D(p) and its reversal, which coincide exactly when
+    D(p) and D(p inverse) are isomorphic, that is when the two codes of
+    the walk are equal.  Raises ValueError past n = 16, where words get no
+    code, and on a prime node.
     """
-    g = inversion_graph(p)
-    tree = decompose(g)
-    if tree.has_prime_node():
-        raise ValueError(
-            "inversion graph has a prime node; class size needs enumeration"
-        )
-    w = p.word
-    n_d = 1
-    for node in tree.internal_nodes():
-        if node.kind is not NodeKind.DEGENERATE_0:
-            continue
-        types = Counter()
-        for child in node.children:
-            rank = {v: k for k, v in enumerate(sorted(child.vertices), start=1)}
-            types[_word_key(tuple(rank[v] for v in w if v in rank))] += 1
-        factor = math.factorial(len(node.children))
-        for multiplicity in types.values():
-            factor //= math.factorial(multiplicity)
-        n_d *= factor
-    code, inverse_code = _tree_codes(w, {})
+    code, inverse_code = _tree_codes(p.word, {})
+    n_d = _separable_count(code)[0]
+    if not n_d:
+        raise ValueError("inversion graph has a prime node; class size needs enumeration")
     self_related = code == inverse_code
     return ClassSizeReport(
         n_d=n_d,

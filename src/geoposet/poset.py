@@ -382,10 +382,13 @@ def bruhat_extension_check(
     p -> q is the left cover p⁻¹ -> q⁻¹ inverted, and a word shares its
     class with its inverse.  The steps are ``_left_cover_steps``, the walk
     ``build_poset`` takes its weak covers from.  Returns the verdict and
-    each failing left step, as a word pair; bounded to n <= 6.
+    each failing left step, as a word pair; bounded to n <= 6, and a given
+    poset must be the order of S_n.
     """
     if n > 6:
         raise ValueError("the exhaustive Bruhat comparison is bounded to n <= 6")
+    if poset is not None and poset.n != n:
+        raise ValueError(f"the poset is the order of S_{poset.n}, not of S_{n}")
     poset = poset if poset is not None else build_poset(n)
     failures = tuple(
         (str(Permutation(m)), str(Permutation(w)))

@@ -370,3 +370,18 @@ def test_induced_rejects_cyclic_tournament():
 def test_json_round_trip():
     d = from_perm(parse("2431"))
     assert Digraph.from_json_obj(d.to_json_obj()) == d
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 3.0, "arcs": [[1, 2]]},  # float n
+        {"n": 3, "arcs": [[1.0, 2]]},  # float arc end
+        {"n": 3, "arcs": [["3", 1]]},  # string arc end
+        {"n": 3, "arcs": [[True, 2]]},  # bool arc end
+    ],
+)
+def test_json_refuses_values_that_are_not_ints(obj):
+    # these used to load through int(): 3.0 as 3, "3" as 3, True as 1
+    with pytest.raises(ValueError):
+        Digraph.from_json_obj(obj)

@@ -284,6 +284,8 @@ def with_vertices(vertices):
         {"vertices": {"1": ["0", "1"]}},  # no "a"
         dict(with_vertices({"1": ["0", "1"]}), a=5),
         with_vertices({"1": 5, "2": ["1", "1"]}),
+        dict(with_vertices({"1": ["0", "1"]}), a=["1/0", "0"]),  # zero denominator
+        with_vertices({"1": ["0", "1/0"]}),
     ],
 )
 def test_json_rejects_malformed_objects(obj):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 import random
 from unittest import mock
 
@@ -391,6 +392,25 @@ def test_class_size_fields_match_digraph_route(n):
         key = canonical_key(d)
         n_d = sum(1 for m in class_members(p) if canonical_key(from_perm(m)) == key)
         assert report.n_d == n_d, str(p)
+        assert report.self_related == is_isomorphic(d, reverse(d)), str(p)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_class_size_matches_graph_decomposition_and_backtracking_key(n):
+    # an oracle that shares no code with the tree route: the graph
+    # decomposition says which words are cographs, one Counter of
+    # backtracking keys over S_n counts the words of each digraph
+    words = list(all_permutations(n))
+    keys = [canonical_key(from_perm(p)) for p in words]
+    words_of = Counter(keys)
+    for p, key in zip(words, keys):
+        if not is_cograph(inversion_graph(p)):
+            with pytest.raises(ValueError, match="prime node"):
+                cograph_class_size(p)
+            continue
+        report = cograph_class_size(p)
+        d = from_perm(p)
+        assert report.n_d == words_of[key], str(p)
         assert report.self_related == is_isomorphic(d, reverse(d)), str(p)
 
 

@@ -542,6 +542,13 @@ def test_extension_check_rejects_large_n():
         bruhat_extension_check(7)
 
 
+def test_extension_check_rejects_a_poset_of_another_n():
+    # a given poset used to be checked whatever its n: the n = 7 order
+    # passed as (True, ()) under n = 2, past the n <= 6 bound
+    with pytest.raises(ValueError, match="not of S_4"):
+        bruhat_extension_check(4, build_poset(3))
+
+
 def containment_scan(n, poset):
     """The exhaustive oracle: every ordered pair of words with E(sigma)
     within E(pi), or the same for the inverses, must compare."""
