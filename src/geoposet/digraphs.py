@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple, Optional
 
 from .graphs import Graph, bits, is_closed
@@ -65,9 +66,17 @@ class Digraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Digraph":
-        """The digraph ``to_json_obj`` wrote; n and the arc ends are taken
-        as they are, so ``__post_init__`` refuses floats, strings and bools."""
-        return cls(obj["n"], frozenset(map(tuple, obj["arcs"])))
+        """The digraph ``to_json_obj`` wrote.  n is taken as it is, so
+        ``__post_init__`` refuses floats, strings and bools; ValueError on
+        any other shape of object, or an arc that is not a list of two ints."""
+        if not (isinstance(obj, dict) and "n" in obj and isinstance(obj.get("arcs"), list)):
+            raise ValueError("a digraph is an object with 'n' and an 'arcs' list")
+        arcs = obj["arcs"]
+        if not all(
+            isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a) for a in arcs
+        ):
+            raise ValueError("every arc must be a list of two int vertices")
+        return cls(obj["n"], frozenset(map(tuple, arcs)))
 
 
 def from_perm(p: Permutation) -> Digraph:
@@ -257,9 +266,11 @@ class MaskDigraph(NamedTuple):
 
     @classmethod
     def from_masks(cls, out: list[int], inn: list[int]) -> "MaskDigraph":
-        odeg = tuple(m.bit_count() for m in out)
-        ideg = tuple(m.bit_count() for m in inn)
-        order = sorted(range(len(out)), key=lambda v: (-(odeg[v] + ideg[v]), v))
+        odeg = tuple(map(int.bit_count, out))
+        ideg = tuple(map(int.bit_count, inn))
+        total = list(map(add, odeg, ideg))
+        # stable, so ties stay in ascending index even in reverse
+        order = sorted(range(len(out)), key=total.__getitem__, reverse=True)
         return cls(
             tuple(out),
             tuple(inn),
@@ -271,13 +282,8 @@ class MaskDigraph(NamedTuple):
 
     def flipped(self) -> "MaskDigraph":
         """Every arc reversed; total degrees, hence the search order, stay."""
-        return self._replace(
-            out=self.inn,
-            inn=self.out,
-            odeg=self.ideg,
-            ideg=self.odeg,
-            pairs=tuple(sorted(((b, a) for a, b in self.pairs), reverse=True)),
-        )
+        pairs = tuple(sorted(zip(self.ideg, self.odeg), reverse=True))
+        return MaskDigraph(self.inn, self.out, self.ideg, self.odeg, pairs, self.order)
 
 
 def degrees_dominate(small: MaskDigraph, big: MaskDigraph) -> bool:

@@ -384,6 +384,10 @@ class GeoClass:
     representative: Permutation
     members: tuple[Permutation, ...]
     key: CanonicalKey
+    # D(representative) is isomorphic to its own arc reversal.  False only
+    # means "not known" on a class built by hand: ``poset`` then makes one
+    # search more, never a wrong decision.  Not serialized.
+    self_related: bool = False
 
     @property
     def size(self) -> int:
@@ -480,7 +484,9 @@ def enumerate_classes(n: int) -> ClassTable:
     and so does rc, so the relabelling v ↦ n+1−pos(v) carries D(w) onto
     D(rc(w⁻¹)) and D(w⁻¹) onto D(rc(w)).  The walk gives the keys of D(w)
     and D(w⁻¹), and the smaller is the class key of all four words; at
-    n = 8 that is 10 558 walks for 40 320 words.  The walks share one memo,
+    n = 8 that is 10 558 walks for 40 320 words.  The class is
+    self-related (D(w) isomorphic to its reversal) when the two are equal,
+    which any orbit of the class shows alike.  The walks share one memo,
     of their blocks' codes and their prime quotients' recipes.  Refuses
     any n that is not an int in 1..9: the scan is exact and the factorial
     growth makes larger n a different project.
@@ -494,10 +500,14 @@ def enumerate_classes(n: int) -> ClassTable:
     key_of = dict.fromkeys(itertools.permutations(range(1, n + 1)))
     flip = (0, *range(n, 0, -1)).__getitem__  # v ↦ n+1−v
     memo: dict = {}
+    self_related = set()
     for w, ck in key_of.items():
         if ck is None:
             inv = inverse_word(w)
-            ck = min(_tree_codes(w, memo))
+            code, inverse_code = _tree_codes(w, memo)
+            if code == inverse_code:
+                self_related.add(code)
+            ck = min(code, inverse_code)
             key_of[w] = key_of[inv] = ck
             key_of[tuple(map(flip, reversed(w)))] = key_of[tuple(map(flip, reversed(inv)))] = ck
     del memo
@@ -512,7 +522,9 @@ def enumerate_classes(n: int) -> ClassTable:
     classes = []
     for inv, run in itertools.groupby(ordered, key=lambda item: item[0]):
         for within, (_, _, members, ck) in enumerate(run, start=1):
-            classes.append(GeoClass(f"{inv}.{within}", inv, members[0], members, ck))
+            classes.append(
+                GeoClass(f"{inv}.{within}", inv, members[0], members, ck, ck in self_related)
+            )
     assert sum(c.size for c in classes) == len(key_of)
     return ClassTable(n, tuple(classes))
 

@@ -241,16 +241,17 @@ def is_inversion_set(ps: PairSet) -> bool:
 def word_masks(word: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Out- and in-masks of the permutation digraph, straight from the word:
     bit j-1 of out[i-1] (and bit i-1 of in[j-1]) is set when (i, j) is an
-    inversion."""
+    inversion.  One scan: ``seen`` holds the values already placed, so
+    out[v-1] is the larger values before v and in[v-1] the smaller values
+    after it."""
     n = len(word)
-    pos = inverse_word(word)
     out = [0] * n
     inn = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pos[i] > pos[j]:
-                out[i] |= 1 << j
-                inn[j] |= 1 << i
+    seen = 0
+    for v in word:
+        out[v - 1] = seen >> v << v
+        inn[v - 1] = ~seen & ((1 << v - 1) - 1)
+        seen |= 1 << v - 1
     return out, inn
 
 

@@ -270,6 +270,20 @@ def test_degrees_dominate_is_the_degree_matching(masks):
     assert degrees_dominate(small.flipped(), big.flipped()) == degrees_dominate(small, big)
 
 
+@given(st.integers(1, 7).flatmap(digraph_masks))
+@settings(max_examples=200, deadline=None)
+def test_mask_digraph_fields(masks):
+    out, inn = masks
+    shape = MaskDigraph.from_masks(out, inn)
+    n = len(out)
+    odeg = [bin(m).count("1") for m in out]
+    ideg = [bin(m).count("1") for m in inn]
+    assert shape.order == tuple(sorted(range(n), key=lambda v: (-(odeg[v] + ideg[v]), v)))
+    assert shape.pairs == tuple(sorted(zip(odeg, ideg), reverse=True))
+    flipped = shape.flipped()
+    assert flipped == MaskDigraph.from_masks(inn, out)
+
+
 def test_degrees_dominate_pairs_the_degrees():
     # equal sorted out- and in-degree sequences [2, 1, 0, 0], but no vertex
     # of D(2413) has both an in-arc and an out-arc for D(1432)'s vertex 3
@@ -383,5 +397,16 @@ def test_json_round_trip():
 )
 def test_json_refuses_values_that_are_not_ints(obj):
     # these used to load through int(): 3.0 as 3, "3" as 3, True as 1
+    with pytest.raises(ValueError):
+        Digraph.from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"n": 3, "arcs": 5}, {"n": 3, "arcs": [5]}, {"arcs": []}, [1], {"n": 3, "arcs": [[1, [2]]]}],
+    ids=repr,
+)
+def test_json_refuses_malformed_shapes(obj):
+    # these raised TypeError or KeyError instead
     with pytest.raises(ValueError):
         Digraph.from_json_obj(obj)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoposet import geoequiv
-from geoposet.digraphs import canonical_key, from_perm, reverse
+from geoposet.digraphs import canonical_key, from_perm, is_isomorphic, reverse
 from geoposet.geoequiv import (
     ClassTable,
     class_key,
@@ -22,6 +22,8 @@ from geoposet.geoequiv import (
     four_family,
     load_s5_reference,
 )
+from geoposet.graphs import inversion_graph
+from geoposet.moddecomp import cograph_class_size, is_cograph
 from geoposet.perms import (
     OrientationClass,
     Permutation,
@@ -390,6 +392,30 @@ def test_class_key_partition_is_the_enumeration(n):
     words = list(itertools.permutations(range(1, n + 1)))
     classes = {frozenset(m.word for m in c.members) for c in enumerate_classes(n).classes}
     assert _partition(words, lambda w: class_key(Permutation(w))) == classes
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_self_related_is_isomorphism_to_the_reversal(n):
+    # the oracle is the backtracking key, which shares no code with the walk
+    for c in enumerate_classes(n).classes:
+        d = from_perm(c.representative)
+        assert c.self_related == is_isomorphic(d, reverse(d)), c.label
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_self_related_agrees_with_the_cograph_class_size(n):
+    cographs = 0
+    for c in enumerate_classes(n).classes:
+        if is_cograph(inversion_graph(c.representative)):
+            cographs += 1
+            assert c.self_related == cograph_class_size(c.representative).self_related
+    assert cographs
+
+
+@pytest.mark.parametrize("n, related, classes", [(5, 15, 39), (6, 49, 182), (7, 110, 1033)])
+def test_self_related_counts(n, related, classes):
+    table = enumerate_classes(n)
+    assert (sum(c.self_related for c in table.classes), table.count) == (related, classes)
 
 
 def test_class_key_refuses_17_letters():

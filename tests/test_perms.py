@@ -177,6 +177,35 @@ def test_perm_from_inversion_set_agrees_with_closure_oracle(n):
                 perm_from_inversion_set(ps)
 
 
+def double_loop_masks(word):
+    """Independent oracle: the masks from every pair of values, compared by
+    position (the quadratic build ``word_masks`` replaced)."""
+    n = len(word)
+    pos = [0] * n
+    for k, v in enumerate(word):
+        pos[v - 1] = k
+    out = [0] * n
+    inn = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pos[i] > pos[j]:
+                out[i] |= 1 << j
+                inn[j] |= 1 << i
+    return out, inn
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_word_masks_equal_the_double_loop(n):
+    for word in itertools.permutations(range(1, n + 1)):
+        assert word_masks(word) == double_loop_masks(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_word_masks_equal_the_double_loop_to_16(word):
+    assert word_masks(tuple(word)) == double_loop_masks(tuple(word))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_word_from_masks_round_trip_and_rejections(n):
     for word in itertools.permutations(range(1, n + 1)):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoposet.digraphs import from_perm, reverse, spanning_embeds
+from geoposet.digraphs import from_perm, mask_embedding, reverse, spanning_embeds
 from geoposet.geoequiv import enumerate_classes
 from geoposet.graphs import bits, is_closed, successors
 from geoposet.perms import all_permutations, inverse, inversion_set, parse
@@ -400,6 +400,22 @@ def test_fill_decision_counts(monkeypatch, n, decisions, before):
     monkeypatch.setattr("geoposet.poset._embeds", counted)
     build_poset(n)
     assert len(calls) == decisions < before
+
+
+@pytest.mark.parametrize("n, searches, before", [(5, 51, 87), (6, 387, 570), (7, 3150, 3742)])
+def test_fill_embedding_search_counts(monkeypatch, n, searches, before):
+    # exact work counts: a pair with a self-related class is decided by one
+    # search, into D(target) only; before, every pair searched the reversal
+    # too on a miss
+    calls = []
+
+    def counted(small, big):
+        calls.append(None)
+        return mask_embedding(small, big)
+
+    monkeypatch.setattr("geoposet.poset.mask_embedding", counted)
+    build_poset(n)
+    assert len(calls) == searches < before
 
 
 @settings(max_examples=300, deadline=None)
