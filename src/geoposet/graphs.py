@@ -74,8 +74,10 @@ def bits(mask: int) -> Iterator[int]:
 def successors(rows: Sequence[int], mask: int) -> int:
     """The union of the out-masks of the vertices in ``mask``."""
     reach = 0
-    for v in bits(mask):
-        reach |= rows[v]
+    while mask:
+        low = mask & -mask
+        reach |= rows[low.bit_length() - 1]
+        mask ^= low
     return reach
 
 

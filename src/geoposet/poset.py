@@ -10,17 +10,21 @@ relation antisymmetric.
 ``build_poset`` fills one bitmask row per class, bottom-up on the weak-order
 floor.  A left weak-order cover of a word adds one inversion and keeps the
 others, so the identity map embeds the word's digraph into the cover's: the
-cover's class lies above the word's.  Mapping the left covers of every
-member to class indices gives each class's weak covers, and their closure
+cover's class lies above the word's.  Mapping the left covers of the
+members to class indices gives each class's weak covers, and their closure
 is the floor, a part of the order that costs no search.  The right covers
 add nothing: they are the left covers of the inverses, inverted, and a word
-shares its class with its inverse.  Each row starts as its floor row, and
-only the classes the floor leaves open are decided by an embedding search
-(see ``build_poset``).  Each decision settles others through the floor: a
+shares its class with its inverse.  Half the members are walked: every
+class is closed under reverse-complement, an automorphism of the left weak
+order, so a member and its image reach the same classes
+(``_weak_covers``).  Each row starts as its floor row, and only the
+classes the floor leaves open are decided by an embedding search (see
+``build_poset``).  Each decision settles others through the floor: a
 hit brings in the target's floor row, and a miss rules out every class the
-floor puts below the target (the miss cascade).  Each representative's
-digraph is built once, as adjacency masks straight from the word, together
-with its arc reversal (isomorphic to the inverse's digraph).  A pair is
+floor puts below the target (the miss cascade).  A representative's
+digraph is built the first time a decision reads it, as adjacency masks
+straight from the word, together with its arc reversal (isomorphic to the
+inverse's digraph); at n = 6 that is 145 of the 182 classes.  A pair is
 decided by one search, into the target's digraph alone, when either class
 is self-related (its digraph is isomorphic to its reversal), and by two
 otherwise.  ``mask_embedding`` rejects a pair before it searches at all
@@ -45,7 +49,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, or_
 from typing import Iterator, Literal, Optional
 
@@ -85,7 +89,10 @@ def _targets(
 
 def _embeds(source: MaskDigraph, targets: tuple[MaskDigraph, ...]) -> bool:
     """Does source embed into one of the targets?"""
-    return any(mask_embedding(source, target) is not None for target in targets)
+    for target in targets:
+        if mask_embedding(source, target) is not None:
+            return True
+    return False
 
 
 def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
@@ -94,7 +101,10 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
     Representatives decide; the outcome is independent of the choice of
     members.  Classes with the same inversion count but different keys are
     incomparable, since a proper sub-digraph has strictly fewer arcs.
+    Classes of different n raise ValueError.
     """
+    if c_sigma.representative.n != c_pi.representative.n:
+        raise ValueError("precedence compares classes of the same n")
     if c_sigma.key == c_pi.key:
         return True
     if c_sigma.inversions >= c_pi.inversions:
@@ -168,12 +178,12 @@ def build_poset(source: "int | ClassTable") -> Poset:
     Accepts either n or a prebuilt class table.
 
     Floor.  ``up[i]`` holds the classes of the left weak-order covers of
-    the members of class i (the steps of ``_left_cover_steps``, walked
-    inline), and ``below`` is its reverse.  Closing ``up`` from the last
-    row down gives ``floor[i]``, which lies within the true row i:
-    inversion-set containment is the identity embedding.  Closing
-    ``below`` from the first row up gives the floor's columns: ``col[j]``
-    holds the classes whose floor row holds j.
+    the members of class i, and ``below`` is its reverse (``_weak_covers``
+    walks half the members and gives the pairs of ``_left_cover_steps``).
+    Closing ``up`` from the last row down gives ``floor[i]``, which lies
+    within the true row i: inversion-set containment is the identity
+    embedding.  Closing ``below`` from the first row up gives the floor's
+    columns: ``col[j]`` holds the classes whose floor row holds j.
 
     Fill.  Rows are filled in ascending index, each seeded with its floor
     row.  A class j above i is also above every class k below i, and every
@@ -196,7 +206,10 @@ def build_poset(source: "int | ClassTable") -> Poset:
     and a self-related digraph is isomorphic to its reversal.  At
     n = 5/6/7 that cuts the ``mask_embedding`` calls from 87/570/3 742 to
     51/387/3 150; each call skipped followed a miss and would have missed
-    too.
+    too.  A class's digraphs (``_shapes``) are built the first time a
+    decision reads them, as source or target: 30/145/887 of 39/182/1 033
+    classes at n = 5/6/7.  The others are settled by the floor and the
+    cascades alone.
 
     Covers.  Let the candidates of i now be ``up[i]`` and the hits of row
     i.  Every class j in row i other than i lies in the floor row of one
@@ -211,41 +224,37 @@ def build_poset(source: "int | ClassTable") -> Poset:
     table = source if isinstance(source, ClassTable) else enumerate_classes(source)
     classes = table.classes
     counts = [c.inversions for c in classes]
-    shapes = [_shapes(c.representative) for c in classes]
-    size = len(shapes)
-    index = table.index
-    steps = range(table.n - 1)
-    up = []
-    below = [0] * size
-    for i, c in enumerate(classes):
-        reached = set()
-        for m in c.members:
-            w = m.word
-            for k in steps:  # the words of ``_left_steps(w)``, inline
-                if w[k] < w[k + 1]:
-                    reached.add(index[w[:k] + (w[k + 1], w[k]) + w[k + 2 :]])
-        up.append(sum(1 << j for j in reached))
-        for j in reached:
-            below[j] |= 1 << i
+    size = len(classes)
+    up, below = _weak_covers(table)
     floor = [0] * size
     for i in reversed(range(size)):
         floor[i] = 1 << i | successors(floor, up[i])
     col = [0] * size
     for j in range(size):
         col[j] = 1 << j | successors(col, below[j])
+
+    @cache
+    def shapes(k: int) -> tuple[MaskDigraph, MaskDigraph]:
+        return _shapes(classes[k].representative)
+
     rows = [0] * size
     hits = [0] * size
     everything = (1 << size) - 1
     for i in range(size):
         row = floor[i]
         first = bisect_right(counts, counts[i])
-        higher = everything >> first << first
-        unknown = reduce(and_, (rows[k] for k in bits(below[i])), higher) & ~row
+        unknown = everything >> first << first
+        m = below[i]
+        while m:
+            low = m & -m
+            unknown &= rows[low.bit_length() - 1]
+            m ^= low
+        unknown &= ~row
         high = False
         while unknown:
             j = unknown.bit_length() - 1 if high else (unknown & -unknown).bit_length() - 1
             high = not high
-            if _embeds(shapes[i][0], _targets(shapes[j], classes[i], classes[j])):
+            if _embeds(shapes(i)[0], _targets(shapes(j), classes[i], classes[j])):
                 row |= floor[j]
                 hits[i] |= 1 << j
                 unknown &= ~floor[j]
@@ -254,9 +263,53 @@ def build_poset(source: "int | ClassTable") -> Poset:
         rows[i] = row
     covers = []
     for candidates in map(or_, up, hits):
-        above = reduce(or_, (rows[c] ^ 1 << c for c in bits(candidates)), 0)
+        above = 0
+        m = candidates
+        while m:
+            low = m & -m
+            above |= rows[low.bit_length() - 1] ^ low
+            m ^= low
         covers.append(candidates & ~above)
     return checked_poset(table, rows, covers)
+
+
+def _weak_covers(table: ClassTable) -> tuple[list[int], list[int]]:
+    """The classes of the left weak-order covers of the members of each
+    class, as masks: bit j of ``up[i]`` is set when a member of class j
+    covers a member of class i, and ``below`` is the reverse.  The pairs
+    are those of ``_left_cover_steps``.
+
+    Only the members w with w[0] + w[-1] <= n + 1 are walked.  Every class
+    is closed under w -> w^-1 and w -> rc(w^-1), where rc(w) = w0 w w0 is
+    the reverse-complement, so under rc.  rc is an automorphism of the left
+    weak order, so the left covers of rc(w) are the rc images of the left
+    covers of w, and they lie in the same classes.  When w[0] + w[-1] >
+    n + 1, rc(w) has rc(w)[0] + rc(w)[-1] < n + 1 and is walked, so w would
+    reach no class that rc(w) does not.  That skips 288 of 720, 2 160 of
+    5 040 and 17 280 of 40 320 members at n = 6, 7 and 8.  On a table that
+    is not closed under rc the masks only lose pairs: the floor gets
+    smaller, and ``build_poset`` stays exact by searching more pairs.
+    """
+    index = table.index
+    top = table.n + 1
+    steps = range(table.n - 1)
+    up = []
+    below = [0] * table.count
+    for i, c in enumerate(table.classes):
+        reached = set()
+        for m in c.members:
+            w = m.word
+            if w[0] + w[-1] > top:
+                continue
+            for k in steps:  # the words of ``_left_steps(w)``, inline
+                if w[k] < w[k + 1]:
+                    reached.add(index[w[:k] + (w[k + 1], w[k]) + w[k + 2 :]])
+        mask = 0
+        for j in reached:
+            mask |= 1 << j
+            below[j] |= 1 << i
+        up.append(mask)
+    return up, below
 
 
 def checked_poset(table: ClassTable, rows: list[int], covers: list[int]) -> Poset:
@@ -277,16 +330,24 @@ def checked_poset(table: ClassTable, rows: list[int], covers: list[int]) -> Pose
     which (a) rules out.  The cost is a few big-int operations per cover,
     not per pair.
     """
+    pairs = []
     for i, (row, up) in enumerate(zip(rows, covers)):
         below = (2 << i) - 1
         if row & below != 1 << i or up & below:
             raise AssertionError("relation is not reflexive and upper-triangular")
-        if row != 1 << i | successors(rows, up):
+        closure = 1 << i
+        m = up
+        while m:
+            low = m & -m
+            c = low.bit_length() - 1
+            if rows[c] & up != low:
+                raise AssertionError("covers are not the transitive reduction")
+            closure |= rows[c]
+            pairs.append((i, c))
+            m ^= low
+        if row != closure:
             raise AssertionError("relation is not the closure of its covers")
-        if any(rows[c] & up != 1 << c for c in bits(up)):
-            raise AssertionError("covers are not the transitive reduction")
-    pairs = tuple((i, j) for i, up in enumerate(covers) for j in bits(up))
-    return Poset(table, tuple(rows), pairs)
+    return Poset(table, tuple(rows), tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -391,6 +452,8 @@ def _inversions_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 def bruhat_below(sigma: Permutation, pi: Permutation) -> bool:
     """Containment in either weak order: E(sigma) within E(pi), or the same
     for the inverses."""
+    if sigma.n != pi.n:
+        raise ValueError("size mismatch")
     return _inversions_within(sigma.word, pi.word) or _inversions_within(
         inverse_word(sigma.word), inverse_word(pi.word)
     )
@@ -409,10 +472,11 @@ def bruhat_extension_check(
     within E(pi), or of the inverses, yields precedence exactly when every
     cover step of either order does.  The left steps suffice: a right cover
     p -> q is the left cover p⁻¹ -> q⁻¹ inverted, and a word shares its
-    class with its inverse.  The steps are ``_left_cover_steps``, the walk
-    ``build_poset`` takes its weak covers from.  Returns the verdict and
-    each failing left step, as a word pair; bounded to n <= 6, and a given
-    poset must be the order of S_n.
+    class with its inverse.  The steps are ``_left_cover_steps``, whose
+    class pairs are the weak covers ``build_poset`` takes from
+    ``_weak_covers``.  Returns the verdict and each failing left step, as a
+    word pair; bounded to n <= 6, and a given poset must be the order of
+    S_n.
     """
     if n > 6:
         raise ValueError("the exhaustive Bruhat comparison is bounded to n <= 6")

@@ -16,6 +16,7 @@ from geoposet.poset import (
     _embeds,
     _left_cover_steps,
     _shapes,
+    _weak_covers,
     bruhat_below,
     bruhat_covers,
     bruhat_extension_check,
@@ -56,6 +57,16 @@ def test_equal_count_distinct_classes_incomparable():
     c2 = class_by_member(table, "3421")
     assert not precedes(c1, c2)
     assert not precedes(c2, c1)
+
+
+def test_precedes_refuses_classes_of_different_n():
+    # 1.1 of S_4 (1243) against 3.2 of S_5 (13452) used to answer True
+    low = class_by_member(enumerate_classes(4), "1243")
+    high = class_by_member(enumerate_classes(5), "13452")
+    with pytest.raises(ValueError):
+        precedes(low, high)
+    with pytest.raises(ValueError):
+        precedes(high, low)
 
 
 def test_precedes_independent_of_representative():
@@ -331,6 +342,64 @@ def test_fill_equals_the_ascending_scan(n):
     assert poset.covers == tuple((i, j) for i, mask in enumerate(covers) for j in bits(mask))
 
 
+def reverse_complement(w):
+    n = len(w)
+    return tuple(n + 1 - x for x in reversed(w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_classes_are_closed_under_reverse_complement(n):
+    # the premise of the half walk in ``_weak_covers``
+    for c in cached_poset(n).table.classes:
+        words = {m.word for m in c.members}
+        assert {reverse_complement(w) for w in words} == words, c.label
+
+
+def left_step_masks(table):
+    """The oracle for ``_weak_covers``: every member's left covers walked,
+    as (up, below) class masks."""
+    up = [0] * table.count
+    below = [0] * table.count
+    for i, j, _, _ in _left_cover_steps(table):
+        up[i] |= 1 << j
+        below[j] |= 1 << i
+    return up, below
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_half_walk_gives_the_left_cover_steps(n):
+    table = cached_poset(n).table
+    assert _weak_covers(table) == left_step_masks(table)
+
+
+@pytest.mark.parametrize("n, built", [(5, 30), (6, 145), (7, 887)])
+def test_shapes_are_built_on_first_use_only(monkeypatch, n, built):
+    # exact work counts: a class's digraphs are built the first time a
+    # decision reads them, and only once
+    table = cached_poset(n).table
+    words = []
+    shapes = _shapes
+
+    def counted(p):
+        words.append(p.word)
+        return shapes(p)
+
+    monkeypatch.setattr("geoposet.poset._shapes", counted)
+    assert build_poset(table) == cached_poset(n)
+    assert len(words) == len(set(words)) == built < table.count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**40), min_size=1, max_size=40), st.integers(0, 2**40))
+def test_successors_is_the_union_of_the_selected_rows(rows, mask):
+    mask &= (1 << len(rows)) - 1
+    union = 0
+    for v in range(len(rows)):
+        if mask >> v & 1:
+            union |= rows[v]
+    assert successors(rows, mask) == union
+
+
 def random_pick_fill(table, rng):
     """``build_poset``'s fill with its hit and miss cascades, but each next
     unknown drawn at random.  Any order of decisions gives the exact rows,
@@ -339,11 +408,7 @@ def random_pick_fill(table, rng):
     counts = [c.inversions for c in table.classes]
     shapes = [_shapes(c.representative) for c in table.classes]
     size = len(shapes)
-    up = [0] * size
-    below = [0] * size
-    for i, j, _, _ in _left_cover_steps(table):
-        up[i] |= 1 << j
-        below[j] |= 1 << i
+    up, below = left_step_masks(table)
     floor = [0] * size
     for i in reversed(range(size)):
         floor[i] = 1 << i | successors(floor, up[i])
@@ -462,7 +527,7 @@ def test_n7_order_is_bounded_and_not_graded():
 
 @pytest.mark.skipif(
     os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
-    reason="the n = 8 order takes about 5 s; set GEOPOSET_ACCEPT_LONG=1",
+    reason="the n = 8 order takes about 3 s; set GEOPOSET_ACCEPT_LONG=1",
 )
 def test_n8_order_is_bounded_and_not_graded():
     poset = build_poset(8)
@@ -617,6 +682,15 @@ def test_extension_check_catches_a_cleared_cover():
     assert not ok and not containment_scan(4, broken)
     assert ("1234", "2134") in failures
     assert len(set(failures)) == len(failures)
+
+
+def test_bruhat_below_refuses_a_size_mismatch():
+    # the masks used to be zipped to the shorter word: both answered True
+    for sigma in ("12", "21"):
+        with pytest.raises(ValueError, match="size mismatch"):
+            bruhat_below(parse(sigma), parse("213"))
+        with pytest.raises(ValueError, match="size mismatch"):
+            bruhat_below(parse("213"), parse(sigma))
 
 
 def test_bruhat_below_is_containment_on_s4():
