@@ -23,13 +23,14 @@ classes the floor leaves open are decided by an embedding search (see
 hit brings in the target's floor row, and a miss rules out every class the
 floor puts below the target (the miss cascade).  A representative's
 digraph is built the first time a decision reads it, as adjacency masks
-straight from the word, together with its arc reversal (isomorphic to the
-inverse's digraph); at n = 6 that is 145 of the 182 classes.  A pair is
-decided by one search, into the target's digraph alone, when either class
-is self-related (its digraph is isomorphic to its reversal), and by two
-otherwise.  ``mask_embedding`` rejects a pair before it searches at all
-when no bijection gives every source vertex a target with at least its
-out- and in-degree.
+straight from the word; at n = 6 that is 145 of the 182 classes.  A pair
+is decided by a search into the target's digraph and, when that misses and
+neither class is self-related (its digraph is isomorphic to its reversal),
+by a second search into the target's arc reversal, which is isomorphic to
+the inverse's digraph.  The reversal is built on the first such miss: 58
+of the 145 at n = 6.  ``mask_embedding`` rejects a pair before it searches
+at all when no bijection gives every source vertex a target with at least
+its out- and in-degree.
 
 Classes are indexed in ascending inversion count, and row i holds only
 classes of higher levels besides i, so every row is upper-triangular: it
@@ -49,9 +50,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, reduce
-from operator import and_, or_
-from typing import Iterator, Literal, Optional
+from functools import cache, partial, reduce
+from operator import and_, gt, or_
+from typing import Callable, Iterable, Iterator, Literal, Optional
 
 from .digraphs import MaskDigraph, mask_embedding
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
@@ -68,26 +69,30 @@ POSET_MAX_N = 8
 COMPACT_JSON_MIN_N = 8
 
 
-def _shapes(p: Permutation) -> tuple[MaskDigraph, MaskDigraph]:
-    """D(p) as a ``MaskDigraph``, and D(p) with its arcs reversed, which is
-    isomorphic to the inverse's digraph."""
-    shape = MaskDigraph.from_masks(*word_masks(p.word))
-    return shape, shape.flipped()
+def _shapes(p: Permutation) -> MaskDigraph:
+    """D(p) as a ``MaskDigraph``."""
+    return MaskDigraph.from_masks(*word_masks(p.word))
 
 
 def _targets(
-    shapes: tuple[MaskDigraph, MaskDigraph], c_sigma: GeoClass, c_pi: GeoClass
-) -> tuple[MaskDigraph, ...]:
-    """The shapes of pi's class (``_shapes``) that decide whether sigma's
-    class embeds into it: both, or D(pi) alone when either class is
-    self-related.  D(sigma) embeds into D(pi) reversed exactly when D(sigma)
-    reversed embeds into D(pi); that is D(sigma) again, up to isomorphism,
-    when sigma's class is self-related, and D(pi) reversed is D(pi) when
-    pi's is."""
-    return shapes[:1] if c_sigma.self_related or c_pi.self_related else shapes
+    shape: MaskDigraph,
+    reversal: Callable[[], MaskDigraph],
+    c_sigma: GeoClass,
+    c_pi: GeoClass,
+) -> Iterator[MaskDigraph]:
+    """The digraphs of pi's class that decide whether sigma's class embeds
+    into it, in search order: D(pi), then D(pi) reversed from ``reversal()``
+    unless either class is self-related.  D(sigma) embeds into D(pi)
+    reversed exactly when D(sigma) reversed embeds into D(pi); that is
+    D(sigma) again, up to isomorphism, when sigma's class is self-related,
+    and D(pi) reversed is D(pi) when pi's is.  The reversal is asked for
+    only once the search into D(pi) has missed."""
+    yield shape
+    if not (c_sigma.self_related or c_pi.self_related):
+        yield reversal()
 
 
-def _embeds(source: MaskDigraph, targets: tuple[MaskDigraph, ...]) -> bool:
+def _embeds(source: MaskDigraph, targets: Iterable[MaskDigraph]) -> bool:
     """Does source embed into one of the targets?"""
     for target in targets:
         if mask_embedding(source, target) is not None:
@@ -109,8 +114,10 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
         return True
     if c_sigma.inversions >= c_pi.inversions:
         return False
-    source = _shapes(c_sigma.representative)[0]
-    return _embeds(source, _targets(_shapes(c_pi.representative), c_sigma, c_pi))
+    target = _shapes(c_pi.representative)
+    return _embeds(
+        _shapes(c_sigma.representative), _targets(target, target.flipped, c_sigma, c_pi)
+    )
 
 
 @dataclass(frozen=True)
@@ -200,16 +207,21 @@ def build_poset(source: "int | ClassTable") -> Poset:
     clears only classes above i and a miss only classes that are not, so
     every candidate ends up in the row exactly when it lies above i: the
     row is exact, in any order of decisions.  A decision searches D(i)
-    into D(j) and then into D(j) reversed, or into D(j) alone when class
-    i or class j is self-related (``_targets``).  That is exact: D(i)
-    embeds into D(j) reversed exactly when D(i) reversed embeds into D(j),
-    and a self-related digraph is isomorphic to its reversal.  At
-    n = 5/6/7 that cuts the ``mask_embedding`` calls from 87/570/3 742 to
-    51/387/3 150; each call skipped followed a miss and would have missed
-    too.  A class's digraphs (``_shapes``) are built the first time a
-    decision reads them, as source or target: 30/145/887 of 39/182/1 033
-    classes at n = 5/6/7.  The others are settled by the floor and the
-    cascades alone.
+    into D(j) and, on a miss, into D(j) reversed, unless class i or class
+    j is self-related (``_targets``).  That is exact: D(i) embeds into D(j)
+    reversed exactly when D(i) reversed embeds into D(j), and a
+    self-related digraph is isomorphic to its reversal.  At n = 5/6/7 that
+    cuts the ``mask_embedding`` calls from 87/570/3 742 to 51/387/3 150;
+    each call skipped followed a miss and would have missed too.  A
+    class's digraph (``_shapes``) is built the first time a decision reads
+    it, as source or target: 30/145/887 of 39/182/1 033 classes at
+    n = 5/6/7.  The others are settled by the floor and the cascades
+    alone.  Its reversal is built the first time a decision searches it:
+    6/58/511 classes.  No later row reads ``floor[i]``, ``col[i]`` or
+    ``below[i]``, since every later decision is on a class above that
+    row, so they are dropped once row i is filled.  The classes must come
+    in ascending inversion count, which the bisection for the higher
+    levels assumes; a table that does not raises ValueError.
 
     Covers.  Let the candidates of i now be ``up[i]`` and the hits of row
     i.  Every class j in row i other than i lies in the floor row of one
@@ -219,11 +231,14 @@ def build_poset(source: "int | ClassTable") -> Poset:
     c; k lies in the row of a candidate c' with c' <= k < c, so c lies in
     the row of c' != c.  So the covers of i are the candidates that no
     other candidate's finished row contains, whatever order the unknowns
-    were decided in.  The rows and covers go to ``checked_poset``.
+    were decided in.  ``up`` and ``hits`` are dropped once the covers are
+    found, and the rows and covers go to ``checked_poset``.
     """
     table = source if isinstance(source, ClassTable) else enumerate_classes(source)
     classes = table.classes
     counts = [c.inversions for c in classes]
+    if any(map(gt, counts, counts[1:])):
+        raise ValueError("the classes must be listed in ascending inversion count")
     size = len(classes)
     up, below = _weak_covers(table)
     floor = [0] * size
@@ -234,8 +249,12 @@ def build_poset(source: "int | ClassTable") -> Poset:
         col[j] = 1 << j | successors(col, below[j])
 
     @cache
-    def shapes(k: int) -> tuple[MaskDigraph, MaskDigraph]:
+    def shape(k: int) -> MaskDigraph:
         return _shapes(classes[k].representative)
+
+    @cache
+    def reversal(k: int) -> MaskDigraph:
+        return shape(k).flipped()
 
     rows = [0] * size
     hits = [0] * size
@@ -254,13 +273,16 @@ def build_poset(source: "int | ClassTable") -> Poset:
         while unknown:
             j = unknown.bit_length() - 1 if high else (unknown & -unknown).bit_length() - 1
             high = not high
-            if _embeds(shapes(i)[0], _targets(shapes(j), classes[i], classes[j])):
+            targets = _targets(shape(j), partial(reversal, j), classes[i], classes[j])
+            if _embeds(shape(i), targets):
                 row |= floor[j]
                 hits[i] |= 1 << j
                 unknown &= ~floor[j]
             else:
                 unknown &= ~col[j]
         rows[i] = row
+        floor[i] = col[i] = below[i] = 0
+    del floor, col, below
     covers = []
     for candidates in map(or_, up, hits):
         above = 0
@@ -270,6 +292,7 @@ def build_poset(source: "int | ClassTable") -> Poset:
             above |= rows[low.bit_length() - 1] ^ low
             m ^= low
         covers.append(candidates & ~above)
+    del up, hits
     return checked_poset(table, rows, covers)
 
 
@@ -288,7 +311,9 @@ def _weak_covers(table: ClassTable) -> tuple[list[int], list[int]]:
     reach no class that rc(w) does not.  That skips 288 of 720, 2 160 of
     5 040 and 17 280 of 40 320 members at n = 6, 7 and 8.  On a table that
     is not closed under rc the masks only lose pairs: the floor gets
-    smaller, and ``build_poset`` stays exact by searching more pairs.
+    smaller, and ``build_poset`` stays exact by searching more pairs.  Each
+    cover's word is one tuple of a list copy of w, with the ascending pair
+    swapped, and swapped back after.
     """
     index = table.index
     top = table.n + 1
@@ -301,9 +326,13 @@ def _weak_covers(table: ClassTable) -> tuple[list[int], list[int]]:
             w = m.word
             if w[0] + w[-1] > top:
                 continue
-            for k in steps:  # the words of ``_left_steps(w)``, inline
-                if w[k] < w[k + 1]:
-                    reached.add(index[w[:k] + (w[k + 1], w[k]) + w[k + 2 :]])
+            s = list(w)
+            for k in steps:  # the words of ``_left_steps(w)``, one tuple each
+                a, b = w[k], w[k + 1]
+                if a < b:
+                    s[k], s[k + 1] = b, a
+                    reached.add(index[tuple(s)])
+                    s[k], s[k + 1] = a, b
         mask = 0
         for j in reached:
             mask |= 1 << j

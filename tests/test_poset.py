@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoposet.digraphs import from_perm, mask_embedding, reverse, spanning_embeds
-from geoposet.geoequiv import enumerate_classes
+from geoposet.digraphs import MaskDigraph, from_perm, mask_embedding, reverse, spanning_embeds
+from geoposet.geoequiv import ClassTable, enumerate_classes
 from geoposet.graphs import bits, is_closed, successors
 from geoposet.perms import all_permutations, inverse, inversion_set, parse
 from geoposet.poset import (
@@ -309,13 +310,19 @@ def test_poset_equals_all_pairs_precedes(n):
     assert poset.covers == walk_covers(poset.leq)
 
 
+def both_shapes(table):
+    """D(p) and D(p) reversed for every class representative p: the oracles
+    search both, whether or not a class is self-related."""
+    return [(d, d.flipped()) for d in (_shapes(c.representative) for c in table.classes)]
+
+
 def ascending_scan(table):
     """The oracle for ``build_poset``'s fill: rows from the last class up,
     every class of a higher level visited in ascending index, a hit ORs in
     the target's finished row.  A target already in the row is skipped, so
     the hits are exactly the covers.  Returns the rows and the cover masks."""
     counts = [c.inversions for c in table.classes]
-    shapes = [_shapes(c.representative) for c in table.classes]
+    shapes = both_shapes(table)
     size = len(shapes)
     rows = [0] * size
     covers = [0] * size
@@ -406,7 +413,7 @@ def random_pick_fill(table, rng):
     so this tests the cascades apart from the pick rule.  Returns the rows
     and the cover masks."""
     counts = [c.inversions for c in table.classes]
-    shapes = [_shapes(c.representative) for c in table.classes]
+    shapes = both_shapes(table)
     size = len(shapes)
     up, below = left_step_masks(table)
     floor = [0] * size
@@ -483,6 +490,74 @@ def test_fill_embedding_search_counts(monkeypatch, n, searches, before):
     assert len(calls) == searches < before
 
 
+def count_reversals(monkeypatch):
+    """A list that gains one entry per ``MaskDigraph.flipped`` call."""
+    calls = []
+    flipped = MaskDigraph.flipped
+
+    def counted(shape):
+        calls.append(None)
+        return flipped(shape)
+
+    monkeypatch.setattr(MaskDigraph, "flipped", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, reversals, shapes", [(5, 6, 30), (6, 58, 145), (7, 511, 887)])
+def test_fill_reversal_counts(monkeypatch, n, reversals, shapes):
+    # exact work counts: D(j) reversed is built on the first decision that
+    # missed D(j) with neither class self-related, and only once; before,
+    # ``_shapes`` built it for every class it built
+    table = cached_poset(n).table
+    calls = count_reversals(monkeypatch)
+    assert build_poset(table) == cached_poset(n)
+    assert len(calls) == reversals < shapes
+
+
+def test_precedes_reverses_only_when_neither_class_is_self_related(monkeypatch):
+    classes = enumerate_classes(5).classes
+    calls = count_reversals(monkeypatch)
+    reversed_pairs = 0
+    for low in classes:
+        for high in classes:
+            before = len(calls)
+            precedes(low, high)
+            built = len(calls) - before
+            if low.self_related or high.self_related:
+                assert built == 0, (low.label, high.label)
+            else:
+                assert built <= 1
+                reversed_pairs += built
+    assert reversed_pairs > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_fill_without_self_related_classes_searches_more(monkeypatch, n):
+    # differential test of the one-search rule: with every class marked
+    # "not known to be self-related", every pair that misses D(target) is
+    # searched into the reversal too, and the order is the same
+    table = cached_poset(n).table
+    cleared = ClassTable(
+        n, tuple(dataclasses.replace(c, self_related=False) for c in table.classes)
+    )
+    searches = []
+
+    def counted(small, big):
+        searches.append(None)
+        return mask_embedding(small, big)
+
+    monkeypatch.setattr("geoposet.poset.mask_embedding", counted)
+    real = build_poset(table)
+    real_searches = len(searches)
+    plain = build_poset(cleared)
+    plain_searches = len(searches) - real_searches
+    assert (plain.leq, plain.covers) == (real.leq, real.covers)
+    if n >= 4:
+        assert plain_searches > real_searches
+    else:  # the floor decides every pair of S_1..S_3
+        assert plain_searches == real_searches == 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 1032), st.integers(0, 1032))
 def test_fill_agrees_with_precedes_at_n7(i, j):
@@ -525,6 +600,24 @@ def test_n7_order_is_bounded_and_not_graded():
     assert hi == class_by_member(table, "2561374").label
 
 
+def row_digest(poset):
+    """The first 16 hex digits of one sha256 over every row's little-endian
+    bytes, in order.  Unlike ``repr(poset.leq)`` it runs at n = 9, whose
+    66 302-bit rows have more digits than Python 3.11 converts to str."""
+    width = (poset.size + 7) // 8
+    digest = hashlib.sha256()
+    for row in poset.leq:
+        digest.update(row.to_bytes(width, "little"))
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "n, digest", [(5, "250bcf7784f2f6f0"), (6, "e333719062ea968d"), (7, "27c55e845355d6e1")]
+)
+def test_row_digests(n, digest):
+    assert row_digest(cached_poset(n)) == digest
+
+
 @pytest.mark.skipif(
     os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
     reason="the n = 8 order takes about 3 s; set GEOPOSET_ACCEPT_LONG=1",
@@ -536,6 +629,7 @@ def test_n8_order_is_bounded_and_not_graded():
     assert poset.is_bounded()
     assert len(poset.covers) == 49475
     assert hashlib.sha256(repr(poset.leq).encode()).hexdigest()[:16] == "6d5ded158c27d474"
+    assert row_digest(poset) == "8c2fc41e67a95093"
     graded, witnesses = is_graded(poset)
     assert not graded
     assert len(witnesses) == 1464
@@ -616,6 +710,22 @@ def test_enumerate_and_build_poset_refuse_n_that_is_not_an_int():
             enumerate_classes(bad)
         with pytest.raises(ValueError, match="class enumeration supports"):
             build_poset(bad)
+
+
+def test_build_poset_refuses_classes_out_of_inversion_order(monkeypatch):
+    # the fill finds each row's higher levels by bisecting the counts; with
+    # classes 1 and 5 of S_4 swapped it used to fail only in checked_poset,
+    # as "relation is not reflexive and upper-triangular"
+    table = enumerate_classes(4)
+    classes = list(table.classes)
+    classes[1], classes[5] = classes[5], classes[1]
+
+    def no_walk(table):
+        raise AssertionError("the cover walk ran")
+
+    monkeypatch.setattr("geoposet.poset._weak_covers", no_walk)
+    with pytest.raises(ValueError, match="ascending inversion count"):
+        build_poset(ClassTable(4, tuple(classes)))
 
 
 def test_extension_check_rejects_large_n():
