@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Pair = tuple[int, int]
-_DIGITS = "0123456789"
+# Maps the bytes 0..9 to their ASCII digits, for ``Permutation.__str__``.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -73,7 +74,7 @@ class Permutation:
 
     def __str__(self) -> str:
         if self.n <= 9:
-            return "".join(map(_DIGITS.__getitem__, self.word))
+            return bytes(self.word).translate(_DIGITS).decode()
         return ",".join(map(str, self.word))
 
 

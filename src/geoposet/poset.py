@@ -8,7 +8,10 @@ with equal counts are never comparable, which is also what makes the
 relation antisymmetric.
 
 ``build_poset`` fills one bitmask row per class, bottom-up on the weak-order
-floor.  A left weak-order cover of a word adds one inversion and keeps the
+floor.  The dense relations (the rows, the floor and a row's unknowns) are
+bitmasks.  The sparse per-class sets (the weak covers, a row's hits and its
+covers) are ascending lists of class indices: at n = 9 a mask costs about
+8 KB whatever it holds, and these hold about 8 of 66 302 classes.  A left weak-order cover of a word adds one inversion and keeps the
 others, so the identity map embeds the word's digraph into the cover's: the
 cover's class lies above the word's.  Mapping the left covers of the
 members to class indices gives each class's weak covers, and their closure
@@ -50,20 +53,20 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, partial, reduce
-from operator import and_, gt, or_
-from typing import Callable, Iterable, Iterator, Literal, Optional
+from functools import reduce
+from operator import and_, gt
+from typing import Iterator, Literal, Optional
 
 from .digraphs import MaskDigraph, mask_embedding
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
-from .graphs import bits, successors
+from .graphs import bits
 from .perms import Permutation, inverse, inverse_word, word_masks
 # Not called here; perfbench/spans.py wraps these names on this module.
 from .digraphs import from_perm, spanning_embeds  # noqa: F401
 from .perms import inversion_set  # noqa: F401
 
 # The largest n the ``poset`` command builds the order for.
-POSET_MAX_N = 8
+POSET_MAX_N = 9
 # From this n on, ``Poset.to_json_obj`` writes the covers, not the dense
 # matrix (57.8 M cells at n = 8).
 COMPACT_JSON_MIN_N = 8
@@ -74,30 +77,29 @@ def _shapes(p: Permutation) -> MaskDigraph:
     return MaskDigraph.from_masks(*word_masks(p.word))
 
 
-def _targets(
-    shape: MaskDigraph,
-    reversal: Callable[[], MaskDigraph],
-    c_sigma: GeoClass,
-    c_pi: GeoClass,
-) -> Iterator[MaskDigraph]:
-    """The digraphs of pi's class that decide whether sigma's class embeds
-    into it, in search order: D(pi), then D(pi) reversed from ``reversal()``
-    unless either class is self-related.  D(sigma) embeds into D(pi)
-    reversed exactly when D(sigma) reversed embeds into D(pi); that is
-    D(sigma) again, up to isomorphism, when sigma's class is self-related,
-    and D(pi) reversed is D(pi) when pi's is.  The reversal is asked for
-    only once the search into D(pi) has missed."""
-    yield shape
-    if not (c_sigma.self_related or c_pi.self_related):
-        yield reversal()
-
-
-def _embeds(source: MaskDigraph, targets: Iterable[MaskDigraph]) -> bool:
-    """Does source embed into one of the targets?"""
-    for target in targets:
-        if mask_embedding(source, target) is not None:
-            return True
-    return False
+def _embeds(
+    source: MaskDigraph,
+    j: int,
+    shapes: list[Optional[MaskDigraph]],
+    reversals: list[Optional[MaskDigraph]],
+    one_way: bool,
+) -> bool:
+    """Does ``source`` embed into D(j) = ``shapes[j]`` or, unless
+    ``one_way``, into D(j) reversed?  The reversal is ``reversals[j]``,
+    built on the first search that needs it, once the search into D(j) has
+    missed, and kept there.  Pass ``one_way`` when either class is
+    self-related: D(i) embeds into D(j) reversed exactly when D(i) reversed
+    embeds into D(j); that is D(i) again, up to isomorphism, when i's class
+    is self-related, and D(j) reversed is D(j) when j's is."""
+    target = shapes[j]
+    if mask_embedding(source, target) is not None:
+        return True
+    if one_way:
+        return False
+    reversal = reversals[j]
+    if reversal is None:
+        reversal = reversals[j] = target.flipped()
+    return mask_embedding(source, reversal) is not None
 
 
 def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
@@ -114,9 +116,12 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
         return True
     if c_sigma.inversions >= c_pi.inversions:
         return False
-    target = _shapes(c_pi.representative)
     return _embeds(
-        _shapes(c_sigma.representative), _targets(target, target.flipped, c_sigma, c_pi)
+        _shapes(c_sigma.representative),
+        0,
+        [_shapes(c_pi.representative)],
+        [None],
+        c_sigma.self_related or c_pi.self_related,
     )
 
 
@@ -184,7 +189,15 @@ def build_poset(source: "int | ClassTable") -> Poset:
 
     Accepts either n or a prebuilt class table.
 
-    Floor.  ``up[i]`` holds the classes of the left weak-order covers of
+    Sets.  The dense relations are bitmasks, one int per class: the floor
+    rows, the floor's columns, the rows and each row's unknowns.  The
+    sparse per-class sets are ascending lists of class indices: ``up``,
+    ``below``, each row's hits and its covers.  A mask costs one bit per
+    class whatever it holds, about 8 KB at n = 9 for sets of about 8 of
+    66 302 classes, and a lowest-bit walk over it does that much work for
+    every bit it visits.
+
+    Floor.  ``up[i]`` lists the classes of the left weak-order covers of
     the members of class i, and ``below`` is its reverse (``_weak_covers``
     walks half the members and gives the pairs of ``_left_cover_steps``).
     Closing ``up`` from the last row down gives ``floor[i]``, which lies
@@ -206,22 +219,21 @@ def build_poset(source: "int | ClassTable") -> Poset:
     cascades bite: hits low down and misses high up clear the most.  A hit
     clears only classes above i and a miss only classes that are not, so
     every candidate ends up in the row exactly when it lies above i: the
-    row is exact, in any order of decisions.  A decision searches D(i)
-    into D(j) and, on a miss, into D(j) reversed, unless class i or class
-    j is self-related (``_targets``).  That is exact: D(i) embeds into D(j)
-    reversed exactly when D(i) reversed embeds into D(j), and a
-    self-related digraph is isomorphic to its reversal.  At n = 5/6/7 that
-    cuts the ``mask_embedding`` calls from 87/570/3 742 to 51/387/3 150;
-    each call skipped followed a miss and would have missed too.  A
-    class's digraph (``_shapes``) is built the first time a decision reads
-    it, as source or target: 30/145/887 of 39/182/1 033 classes at
-    n = 5/6/7.  The others are settled by the floor and the cascades
-    alone.  Its reversal is built the first time a decision searches it:
-    6/58/511 classes.  No later row reads ``floor[i]``, ``col[i]`` or
-    ``below[i]``, since every later decision is on a class above that
-    row, so they are dropped once row i is filled.  The classes must come
-    in ascending inversion count, which the bisection for the higher
-    levels assumes; a table that does not raises ValueError.
+    row is exact, in any order of decisions.  A decision (``_embeds``)
+    searches D(i) into D(j) and, on a miss, into D(j) reversed, unless
+    class i or class j is self-related.  At n = 5/6/7 that cuts the
+    ``mask_embedding`` calls from 87/570/3 742 to 51/387/3 150; each call
+    skipped followed a miss and would have missed too.  A class's digraph
+    (``_shapes``) is built the first time a decision reads it, as source
+    or target: 30/145/887 of 39/182/1 033 classes at n = 5/6/7.  The
+    others are settled by the floor and the cascades alone.  Its reversal
+    is built the first time a decision searches it: 6/58/511 classes.
+    Both are kept in per-class lists, so a decision allocates nothing.  No
+    later row reads ``floor[i]``, ``col[i]`` or the digraphs of class i,
+    since every later decision is on a class above that row, so they are
+    dropped once row i is filled.  The classes must come in ascending
+    inversion count, which the bisection for the higher levels assumes; a
+    table that does not raises ValueError.
 
     Covers.  Let the candidates of i now be ``up[i]`` and the hits of row
     i.  Every class j in row i other than i lies in the floor row of one
@@ -231,8 +243,10 @@ def build_poset(source: "int | ClassTable") -> Poset:
     c; k lies in the row of a candidate c' with c' <= k < c, so c lies in
     the row of c' != c.  So the covers of i are the candidates that no
     other candidate's finished row contains, whatever order the unknowns
-    were decided in.  ``up`` and ``hits`` are dropped once the covers are
-    found, and the rows and covers go to ``checked_poset``.
+    were decided in.  A row holds no class below its own index, so only
+    the rows of smaller candidates can contain c: the candidates are
+    walked in ascending order, each tested against the union of the rows
+    walked before it.  The rows and covers go to ``checked_poset``.
     """
     table = source if isinstance(source, ClassTable) else enumerate_classes(source)
     classes = table.classes
@@ -243,64 +257,70 @@ def build_poset(source: "int | ClassTable") -> Poset:
     up, below = _weak_covers(table)
     floor = [0] * size
     for i in reversed(range(size)):
-        floor[i] = 1 << i | successors(floor, up[i])
+        row = 1 << i
+        for k in up[i]:
+            row |= floor[k]
+        floor[i] = row
     col = [0] * size
     for j in range(size):
-        col[j] = 1 << j | successors(col, below[j])
+        column = 1 << j
+        for k in below[j]:
+            column |= col[k]
+        col[j] = column
 
-    @cache
-    def shape(k: int) -> MaskDigraph:
-        return _shapes(classes[k].representative)
-
-    @cache
-    def reversal(k: int) -> MaskDigraph:
-        return shape(k).flipped()
-
+    related = [c.self_related for c in classes]
+    shapes: list[Optional[MaskDigraph]] = [None] * size
+    reversals: list[Optional[MaskDigraph]] = [None] * size
     rows = [0] * size
-    hits = [0] * size
+    hits = []
     everything = (1 << size) - 1
     for i in range(size):
         row = floor[i]
         first = bisect_right(counts, counts[i])
         unknown = everything >> first << first
-        m = below[i]
-        while m:
-            low = m & -m
-            unknown &= rows[low.bit_length() - 1]
-            m ^= low
+        for k in below[i]:
+            unknown &= rows[k]
         unknown &= ~row
+        found = []
         high = False
         while unknown:
             j = unknown.bit_length() - 1 if high else (unknown & -unknown).bit_length() - 1
             high = not high
-            targets = _targets(shape(j), partial(reversal, j), classes[i], classes[j])
-            if _embeds(shape(i), targets):
+            if shapes[j] is None:
+                shapes[j] = _shapes(classes[j].representative)
+            if shapes[i] is None:
+                shapes[i] = _shapes(classes[i].representative)
+            if _embeds(shapes[i], j, shapes, reversals, related[i] or related[j]):
                 row |= floor[j]
-                hits[i] |= 1 << j
+                found.append(j)
                 unknown &= ~floor[j]
             else:
                 unknown &= ~col[j]
         rows[i] = row
-        floor[i] = col[i] = below[i] = 0
-    del floor, col, below
+        hits.append(found)
+        floor[i] = col[i] = 0
+        shapes[i] = reversals[i] = None
+    del floor, col, below, shapes, reversals
     covers = []
-    for candidates in map(or_, up, hits):
+    for i, found in enumerate(hits):
         above = 0
-        m = candidates
-        while m:
-            low = m & -m
-            above |= rows[low.bit_length() - 1] ^ low
-            m ^= low
-        covers.append(candidates & ~above)
+        kept = []
+        for c in sorted(up[i] + found):
+            if not above >> c & 1:
+                kept.append(c)
+            above |= rows[c]
+        covers.append(kept)
     del up, hits
     return checked_poset(table, rows, covers)
 
 
-def _weak_covers(table: ClassTable) -> tuple[list[int], list[int]]:
+def _weak_covers(table: ClassTable) -> tuple[list[list[int]], list[list[int]]]:
     """The classes of the left weak-order covers of the members of each
-    class, as masks: bit j of ``up[i]`` is set when a member of class j
-    covers a member of class i, and ``below`` is the reverse.  The pairs
-    are those of ``_left_cover_steps``.
+    class, as ascending lists of class indices: j is in ``up[i]`` when a
+    member of class j covers a member of class i, and ``below`` is the
+    reverse.  The pairs are those of ``_left_cover_steps``.  Lists, not
+    masks: each holds a handful of classes, and a mask would cost one bit
+    per class of the table, about 8 KB at n = 9.
 
     Only the members w with w[0] + w[-1] <= n + 1 are walked.  Every class
     is closed under w -> w^-1 and w -> rc(w^-1), where rc(w) = w0 w w0 is
@@ -310,7 +330,7 @@ def _weak_covers(table: ClassTable) -> tuple[list[int], list[int]]:
     n + 1, rc(w) has rc(w)[0] + rc(w)[-1] < n + 1 and is walked, so w would
     reach no class that rc(w) does not.  That skips 288 of 720, 2 160 of
     5 040 and 17 280 of 40 320 members at n = 6, 7 and 8.  On a table that
-    is not closed under rc the masks only lose pairs: the floor gets
+    is not closed under rc the lists only lose pairs: the floor gets
     smaller, and ``build_poset`` stays exact by searching more pairs.  Each
     cover's word is one tuple of a list copy of w, with the ascending pair
     swapped, and swapped back after.
@@ -319,7 +339,7 @@ def _weak_covers(table: ClassTable) -> tuple[list[int], list[int]]:
     top = table.n + 1
     steps = range(table.n - 1)
     up = []
-    below = [0] * table.count
+    below: list[list[int]] = [[] for _ in range(table.count)]
     for i, c in enumerate(table.classes):
         reached = set()
         for m in c.members:
@@ -333,17 +353,17 @@ def _weak_covers(table: ClassTable) -> tuple[list[int], list[int]]:
                     s[k], s[k + 1] = b, a
                     reached.add(index[tuple(s)])
                     s[k], s[k + 1] = a, b
-        mask = 0
-        for j in reached:
-            mask |= 1 << j
-            below[j] |= 1 << i
-        up.append(mask)
+        above = sorted(reached)
+        for j in above:
+            below[j].append(i)
+        up.append(above)
     return up, below
 
 
-def checked_poset(table: ClassTable, rows: list[int], covers: list[int]) -> Poset:
-    """The order with rows ``rows`` and cover masks ``covers``, once both
-    are checked; raises AssertionError otherwise.
+def checked_poset(table: ClassTable, rows: list[int], covers: list[list[int]]) -> Poset:
+    """The order with rows ``rows`` and covers ``covers`` (for each row,
+    the ascending list of the indices of its covers), once both are
+    checked; raises AssertionError otherwise.
 
     For each row i: (a) the row is upper-triangular with its diagonal bit,
     and every cover of i lies strictly above i; (b) the row is i together
@@ -356,24 +376,25 @@ def checked_poset(table: ClassTable, rows: list[int], covers: list[int]) -> Pose
     reduction edge.  Say a cover c lies in the row of some k in row i,
     with k neither i nor c.  By (b), k lies in the row of a cover c', and
     so does c.  Then c' = c by (c), and c and k lie in each other's rows,
-    which (a) rules out.  The cost is a few big-int operations per cover,
-    not per pair.
+    which (a) rules out.  By (a), only the row of a smaller cover can hold
+    c, so (c) tests each cover against the union of the rows of the covers
+    before it, which (b) builds anyway; a list out of ascending order is
+    refused.  The cost is a few big-int operations per cover, not per pair.
     """
     pairs = []
     for i, (row, up) in enumerate(zip(rows, covers)):
-        below = (2 << i) - 1
-        if row & below != 1 << i or up & below:
+        if row & ((2 << i) - 1) != 1 << i:
             raise AssertionError("relation is not reflexive and upper-triangular")
         closure = 1 << i
-        m = up
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            if rows[c] & up != low:
+        last = i
+        for c in up:
+            if c <= last:
+                raise AssertionError("covers are not ascending and above their row")
+            if closure >> c & 1:
                 raise AssertionError("covers are not the transitive reduction")
             closure |= rows[c]
             pairs.append((i, c))
-            m ^= low
+            last = c
         if row != closure:
             raise AssertionError("relation is not the closure of its covers")
     return Poset(table, tuple(rows), tuple(pairs))

@@ -440,8 +440,8 @@ def test_poset_gates_long_runs(capsys):
     code, out, err = run_cli(capsys, "poset", "8")
     assert code == 2 and "--allow-long" in err
     assert out == ""
-    code, out, err = run_cli(capsys, "poset", "9", "--allow-long")
-    assert code == 2 and "1 <= n <= 8" in err
+    code, out, err = run_cli(capsys, "poset", "10", "--allow-long")
+    assert code == 2 and "1 <= n <= 9" in err
     assert out == ""
 
 

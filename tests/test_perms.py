@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -299,10 +300,16 @@ def test_word_text_is_digits_to_9_then_commas():
     for n in range(1, 8):
         for p in all_permutations(n):
             assert str(p) == "".join(str(v) for v in p.word)
+    rng = random.Random(10)
+    for n in (8, 9):
+        p = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+        assert str(p) == "".join(str(v) for v in p.word)
     for n in range(10, 13):
-        p = Permutation(tuple(range(n, 0, -1)))
-        assert str(p) == ",".join(str(v) for v in p.word)
-        assert parse(str(p)) == p
+        seeded = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(5)]
+        for word in [tuple(range(n, 0, -1))] + seeded:
+            p = Permutation(word)
+            assert str(p) == ",".join(str(v) for v in p.word)
+            assert parse(str(p)) == p
 
 
 def test_permutation_is_slotted_frozen_and_unchanged_on_s4():

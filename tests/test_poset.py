@@ -230,6 +230,13 @@ def cover_masks(pairs, size):
     return masks
 
 
+def index_lists(masks):
+    """Each mask as the ascending list of its bits: the form of the sparse
+    per-class sets of ``build_poset`` and of the covers ``checked_poset``
+    takes."""
+    return [list(bits(mask)) for mask in masks]
+
+
 def is_order_with_covers(rows, covers):
     """The oracle for ``checked_poset``: a triangular, closed relation whose
     transitive reduction is ``covers``."""
@@ -244,18 +251,30 @@ def test_checked_poset_raises_exactly_on_a_wrong_bit():
     poset = build_poset(table)
     rows = list(poset.leq)
     covers = cover_masks(poset.covers, poset.size)
-    assert checked_poset(table, rows, covers) == poset
+    assert checked_poset(table, rows, index_lists(covers)) == poset
     for masks in (rows, covers):
         for i in range(poset.size):
             for j in range(poset.size):
                 masks[i] ^= 1 << j
                 try:
-                    checked_poset(table, rows, covers)
+                    checked_poset(table, rows, index_lists(covers))
                     raised = False
                 except AssertionError:
                     raised = True
                 assert raised != is_order_with_covers(rows, covers), (masks is rows, i, j)
                 masks[i] ^= 1 << j
+
+
+def test_checked_poset_refuses_covers_out_of_ascending_order():
+    # by triangularity only a smaller cover's row can hold a cover, so the
+    # check walks each list in ascending order and must refuse any other
+    table = enumerate_classes(4)
+    poset = build_poset(table)
+    covers = index_lists(cover_masks(poset.covers, poset.size))
+    i = next(k for k, up in enumerate(covers) if len(up) > 1)
+    for wrong in (covers[i][::-1], covers[i] + covers[i][-1:]):
+        with pytest.raises(AssertionError):
+            checked_poset(table, list(poset.leq), covers[:i] + [wrong] + covers[i + 1 :])
 
 
 def corrupted_rows(table, fault):
@@ -284,7 +303,7 @@ def test_build_poset_self_checks_fire(fault):
     assert is_closed(rows) == (fault != "missing transitive bit")
     covers = cover_masks(build_poset(table).covers, len(rows))
     with pytest.raises(AssertionError):
-        checked_poset(table, rows, covers)
+        checked_poset(table, rows, index_lists(covers))
 
 
 def test_no_pool_below_the_thresholds(monkeypatch):
@@ -311,9 +330,11 @@ def test_poset_equals_all_pairs_precedes(n):
 
 
 def both_shapes(table):
-    """D(p) and D(p) reversed for every class representative p: the oracles
-    search both, whether or not a class is self-related."""
-    return [(d, d.flipped()) for d in (_shapes(c.representative) for c in table.classes)]
+    """D(p) and D(p) reversed for every class representative p, as the
+    ``shapes`` and ``reversals`` lists of ``_embeds``: the oracles search
+    both, whether or not a class is self-related."""
+    shapes = [_shapes(c.representative) for c in table.classes]
+    return shapes, [d.flipped() for d in shapes]
 
 
 def ascending_scan(table):
@@ -322,14 +343,14 @@ def ascending_scan(table):
     the target's finished row.  A target already in the row is skipped, so
     the hits are exactly the covers.  Returns the rows and the cover masks."""
     counts = [c.inversions for c in table.classes]
-    shapes = both_shapes(table)
+    shapes, reversals = both_shapes(table)
     size = len(shapes)
     rows = [0] * size
     covers = [0] * size
     for i in reversed(range(size)):
         row = 1 << i
         for j in range(bisect_right(counts, counts[i]), size):
-            if not row >> j & 1 and _embeds(shapes[i][0], shapes[j]):
+            if not row >> j & 1 and _embeds(shapes[i], j, shapes, reversals, False):
                 row |= rows[j]
                 covers[i] |= 1 << j
         rows[i] = row
@@ -376,7 +397,8 @@ def left_step_masks(table):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_half_walk_gives_the_left_cover_steps(n):
     table = cached_poset(n).table
-    assert _weak_covers(table) == left_step_masks(table)
+    up, below = left_step_masks(table)
+    assert _weak_covers(table) == (index_lists(up), index_lists(below))
 
 
 @pytest.mark.parametrize("n, built", [(5, 30), (6, 145), (7, 887)])
@@ -413,7 +435,7 @@ def random_pick_fill(table, rng):
     so this tests the cascades apart from the pick rule.  Returns the rows
     and the cover masks."""
     counts = [c.inversions for c in table.classes]
-    shapes = both_shapes(table)
+    shapes, reversals = both_shapes(table)
     size = len(shapes)
     up, below = left_step_masks(table)
     floor = [0] * size
@@ -432,7 +454,7 @@ def random_pick_fill(table, rng):
         unknown &= ~row
         while unknown:
             j = rng.choice(list(bits(unknown)))
-            if _embeds(shapes[i][0], shapes[j]):
+            if _embeds(shapes[i], j, shapes, reversals, False):
                 row |= floor[j]
                 hits[i] |= 1 << j
                 unknown &= ~floor[j]
@@ -455,7 +477,7 @@ def test_fill_is_exact_in_any_pick_order(rng):
     poset = cached_poset(6)
     rows, covers = random_pick_fill(poset.table, rng)
     assert tuple(rows) == poset.leq
-    assert checked_poset(poset.table, rows, covers).covers == poset.covers
+    assert checked_poset(poset.table, rows, index_lists(covers)).covers == poset.covers
 
 
 @pytest.mark.parametrize("n, decisions, before", [(5, 44, 70), (6, 301, 1049), (7, 2147, 12730)])
@@ -465,9 +487,9 @@ def test_fill_decision_counts(monkeypatch, n, decisions, before):
     calls = []
     embeds = _embeds
 
-    def counted(source, shapes):
+    def counted(*args):
         calls.append(None)
-        return embeds(source, shapes)
+        return embeds(*args)
 
     monkeypatch.setattr("geoposet.poset._embeds", counted)
     build_poset(n)
@@ -640,6 +662,69 @@ def test_n8_order_is_bounded_and_not_graded():
     assert hi == class_by_member(table, "13672485").label
 
 
+@pytest.mark.skipif(
+    os.environ.get("GEOPOSET_ACCEPT_N9") != "1",
+    reason="the n = 9 order takes about 90 s and 1.2 GB; set GEOPOSET_ACCEPT_N9=1",
+)
+def test_n9_order_is_bounded_and_not_graded():
+    poset = build_poset(9)
+    table = poset.table
+    assert poset.size == 66302
+    assert poset.is_bounded()
+    assert len(poset.covers) == 536318
+    assert row_digest(poset) == "92aa8669326e62a1"
+    graded, witnesses = is_graded(poset)
+    assert not graded
+    assert len(witnesses) == 31949
+    assert min(lo_inv for _, _, lo_inv, _ in witnesses) == 6
+    lo, hi, lo_inv, hi_inv = witnesses[0]
+    assert (lo_inv, hi_inv) == (6, 8)
+    assert lo == class_by_member(table, "123578496").label
+    assert hi == class_by_member(table, "124783596").label
+
+
+def point_sums(word):
+    """σ⊕1, 1⊕σ, σ⊖1 and 1⊖σ for a word σ of S_m, as words of S_{m+1}: the
+    direct sums put a new largest value last or a new smallest value first,
+    the skew sums a new smallest value last or a new largest value first."""
+    m = len(word)
+    shifted = tuple(v + 1 for v in word)
+    return word + (m + 1,), (1,) + shifted, shifted + (1,), (m + 1,) + word
+
+
+@pytest.mark.parametrize(
+    "n, pairs, plain_skew_misses",
+    [(4, 10, 0), (5, 67, 0), (6, 571, 24), (7, 9545, 804)],
+)
+def test_order_lifts_through_sums_with_a_point(n, pairs, plain_skew_misses):
+    # a second route to the order at n: an embedding of D(σ) into D(π)
+    # extends by the new point, so every pair of the order at n - 1 lifts.
+    # A witness into D(π) reversed, which is D(π⁻¹) up to isomorphism, lifts
+    # a direct sum into the class of π⊕1, since (π⊕1)⁻¹ = π⁻¹⊕1; but
+    # (π⊖1)⁻¹ = 1⊖π⁻¹, so a skew sum lifts to π⁻¹⊖1 or 1⊖π⁻¹, which need not
+    # share the class of π⊖1 or 1⊖π: the plain skew form misses on 24
+    # (pair, form) cases at n = 6 and 804 at n = 7
+    low, high = cached_poset(n - 1), cached_poset(n)
+    index = high.table.index
+    classes = low.table.classes
+    lifts = [[index[w] for w in point_sums(c.representative.word)] for c in classes]
+    inverse_skews = [
+        [index[w] for w in point_sums(inverse(c.representative).word)[2:]] for c in classes
+    ]
+    checked = misses = 0
+    for i, row in enumerate(low.leq):
+        for j in bits(row):
+            plus, one_plus, minus, one_minus = map(high.is_leq, lifts[i], lifts[j])
+            swapped = list(map(high.is_leq, lifts[i][2:], inverse_skews[j]))
+            pair = (classes[i].label, classes[j].label)
+            assert plus and one_plus, pair
+            assert (minus or swapped[0]) and (one_minus or swapped[1]), pair
+            checked += 1
+            misses += (not minus) + (not one_minus)
+    assert checked == pairs
+    assert misses == plain_skew_misses
+
+
 # ---------------------------------------------------------------------------
 # weak Bruhat machinery
 
@@ -781,7 +866,7 @@ def test_extension_check_catches_a_cleared_cover():
     assert poset.table.labels[:2] == ("0.1", "1.1")
     leq = list(poset.leq)
     leq[0] &= ~(1 << 1)
-    broken = checked_poset(poset.table, leq, cover_masks(walk_covers(leq), len(leq)))
+    broken = checked_poset(poset.table, leq, index_lists(cover_masks(walk_covers(leq), len(leq))))
     for row in leq:  # 0.1 -> 1.1 is a cover, so the rest stays transitive
         closure = row
         for k in range(len(leq)):
