@@ -1,6 +1,11 @@
 """Command-line front end: enumeration reports, classification, posets,
 and the one-shot verification suite.
 
+``classify`` reads "cograph" and the closed-form size off the word's class
+key walk (``moddecomp.cograph_class_size``): a prime node in the word's
+substitution tree means no cograph.  No command decomposes a graph except
+``verify``.
+
 Exit codes: 0 success, 1 verification failure or a stdout closed before
 the output was written (nothing is printed on stderr then), 2 usage error
 or an output path that cannot be written.  Every command computes its
@@ -21,8 +26,7 @@ from pathlib import Path
 from typing import Callable, Optional, TextIO
 
 from .geoequiv import ENUMERATION_MAX_N, ClassTable, class_members, enumerate_classes
-from .graphs import inversion_graph
-from .moddecomp import cograph_class_size, is_cograph
+from .moddecomp import cograph_class_size
 from .perms import inversion_count, parse
 from .poset import POSET_MAX_N, build_poset, hasse, is_graded
 
@@ -144,17 +148,7 @@ def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
 
 
 def _format_table(table: ClassTable) -> str:
-    rows = [("label", "inversions", "size", "representative", "members")]
-    for c in table.classes:
-        rows.append(
-            (
-                c.label,
-                str(c.inversions),
-                str(c.size),
-                str(c.representative),
-                " ".join(str(m) for m in c.members),
-            )
-        )
+    rows = table._rows()
     widths = [max(len(r[k]) for r in rows) for k in range(4)]
     lines = []
     for r in rows:
@@ -181,18 +175,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
         members = class_members(p)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    g = inversion_graph(p)
-    cograph = is_cograph(g)
     lines = [
         f"permutation: {p}",
         f"n: {p.n}",
         f"inversions: {inversion_count(p)}",
         f"class size: {len(members)}",
         "members: " + " ".join(str(m) for m in members),
-        f"cograph: {'yes' if cograph else 'no'}",
     ]
-    if cograph:
+    try:
         report = cograph_class_size(p)
+    except ValueError:  # a prime node: not a cograph
+        lines.append("cograph: no")
+    else:
+        lines.append("cograph: yes")
         lines.append(
             f"closed-form size: {report.class_size} "
             f"(represented by one orientation: {report.n_d}, "

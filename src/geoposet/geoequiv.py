@@ -465,14 +465,17 @@ class ClassTable:
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=False)
 
+    def _rows(self) -> list[tuple[str, ...]]:
+        """The header, then one row per class: the columns of the CSV and of
+        the CLI's text table."""
+        return [("label", "inversions", "size", "representative", "members")] + [
+            (c.label, str(c.inversions), str(c.size), str(c.representative), " ".join(map(str, c.members)))
+            for c in self.classes
+        ]
+
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["label", "inversions", "size", "representative", "members"])
-        for c in self.classes:
-            writer.writerow(
-                [c.label, c.inversions, c.size, str(c.representative), " ".join(str(m) for m in c.members)]
-            )
+        csv.writer(buf, lineterminator="\n").writerows(self._rows())
         return buf.getvalue()
 
 

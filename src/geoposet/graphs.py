@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Pair, Permutation, _check_pairs, inversion_set, pair_masks
+from .perms import Pair, PairSet, Permutation, _check_pairs, inversion_set, pair_masks
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,7 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edges
 
     def complement(self) -> "Graph":
-        universe = {
-            (u, v) for u in range(1, self.n) for v in range(u + 1, self.n + 1)
-        }
-        return Graph(self.n, frozenset(universe - self.edges))
+        return Graph(self.n, PairSet.universe(self.n).pairs - self.edges)
 
     def adjacency_masks(self) -> list[int]:
         """masks[v - 1] has bit (w - 1) set when v and w are adjacent."""
@@ -93,9 +90,7 @@ def inversion_graph(p: Permutation) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(
-        n, frozenset((u, v) for u in range(1, n) for v in range(u + 1, n + 1))
-    )
+    return Graph(n, PairSet.universe(n).pairs)
 
 
 def empty_graph(n: int) -> Graph:

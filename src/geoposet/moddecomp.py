@@ -23,6 +23,9 @@ reads it off the word's substitution tree, the one the class key walks,
 with no graph decomposition: a ⊕ node (a degenerate 0-node) with k
 children contributes k! over the factorials of the multiplicities of its
 child codes, and a ⊖ node (a degenerate 1-node) contributes 1.
+``geoposet classify`` takes its "cograph" line from that walk too, so the
+graph decomposition here (``decompose`` and what calls it) serves the
+``verify`` suites and the public API only.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .geoequiv import _separable_count, _tree_codes
-from .graphs import Graph, bits, components_within
+from .graphs import Graph, bits, components_within, is_closed
 from .perms import Permutation
 # Not called here; perfbench/spans.py wraps these three names on this module.
 from .digraphs import canonical_key, from_perm  # noqa: F401
@@ -250,9 +253,7 @@ def _forced_arcs(q: Graph) -> Optional[list[int]]:
 
 def _orients(q: Graph, out: list[int]) -> bool:
     """Do the arcs ``out`` cover every edge of q, transitively?"""
-    return sum(o.bit_count() for o in out) == len(q.edges) and all(
-        out[y] & ~out[x] == 0 for x in range(q.n) for y in bits(out[x])
-    )
+    return sum(o.bit_count() for o in out) == len(q.edges) and is_closed(out)
 
 
 def is_cograph(g: Graph) -> bool:

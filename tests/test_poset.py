@@ -362,6 +362,12 @@ def cached_poset(n):
     return build_poset(n)
 
 
+LONG = pytest.mark.skipif(
+    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
+    reason="the n = 8 order takes about 3 s; set GEOPOSET_ACCEPT_LONG=1",
+)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_fill_equals_the_ascending_scan(n):
     poset = cached_poset(n)
@@ -399,6 +405,23 @@ def test_half_walk_gives_the_left_cover_steps(n):
     table = cached_poset(n).table
     up, below = left_step_masks(table)
     assert _weak_covers(table) == (index_lists(up), index_lists(below))
+
+
+@pytest.mark.parametrize(
+    "n, outside", [(4, 0), (5, 1), (6, 17), (7, 264), pytest.param(8, 4009, marks=LONG)]
+)
+def test_covers_outside_the_weak_order_floor(n, outside):
+    # experimental: the covers (i, j) whose j is not reached from i by left
+    # weak-order steps, the ones the fill finds by search alone
+    poset = cached_poset(n)
+    up, _ = _weak_covers(poset.table)
+    assert all(i < j for i, above in enumerate(up) for j in above)
+    floor = [0] * poset.size
+    for i in reversed(range(poset.size)):
+        floor[i] = 1 << i
+        for j in up[i]:
+            floor[i] |= floor[j]
+    assert sum(not floor[i] >> j & 1 for i, j in poset.covers) == outside
 
 
 @pytest.mark.parametrize("n, built", [(5, 30), (6, 145), (7, 887)])
@@ -640,12 +663,9 @@ def test_row_digests(n, digest):
     assert row_digest(cached_poset(n)) == digest
 
 
-@pytest.mark.skipif(
-    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
-    reason="the n = 8 order takes about 3 s; set GEOPOSET_ACCEPT_LONG=1",
-)
+@LONG
 def test_n8_order_is_bounded_and_not_graded():
-    poset = build_poset(8)
+    poset = cached_poset(8)
     table = poset.table
     assert poset.size == 7605
     assert poset.is_bounded()
@@ -694,7 +714,13 @@ def point_sums(word):
 
 @pytest.mark.parametrize(
     "n, pairs, plain_skew_misses",
-    [(4, 10, 0), (5, 67, 0), (6, 571, 24), (7, 9545, 804)],
+    [
+        (4, 10, 0),
+        (5, 67, 0),
+        (6, 571, 24),
+        (7, 9545, 804),
+        pytest.param(8, 239186, 39139, marks=LONG),
+    ],
 )
 def test_order_lifts_through_sums_with_a_point(n, pairs, plain_skew_misses):
     # a second route to the order at n: an embedding of D(σ) into D(π)
@@ -703,7 +729,7 @@ def test_order_lifts_through_sums_with_a_point(n, pairs, plain_skew_misses):
     # a direct sum into the class of π⊕1, since (π⊕1)⁻¹ = π⁻¹⊕1; but
     # (π⊖1)⁻¹ = 1⊖π⁻¹, so a skew sum lifts to π⁻¹⊖1 or 1⊖π⁻¹, which need not
     # share the class of π⊖1 or 1⊖π: the plain skew form misses on 24
-    # (pair, form) cases at n = 6 and 804 at n = 7
+    # (pair, form) cases at n = 6, 804 at n = 7 and 39 139 at n = 8
     low, high = cached_poset(n - 1), cached_poset(n)
     index = high.table.index
     classes = low.table.classes
