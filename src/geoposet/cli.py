@@ -28,7 +28,7 @@ from typing import Callable, Optional, TextIO
 from .geoequiv import ENUMERATION_MAX_N, ClassTable, class_members, enumerate_classes
 from .moddecomp import cograph_class_size
 from .perms import inversion_count, parse
-from .poset import POSET_MAX_N, build_poset, hasse, is_graded
+from .poset import build_poset, hasse, is_graded
 
 CACHE_SCHEMA_VERSION = 1
 LONG_RUN_THRESHOLD = 8
@@ -109,13 +109,14 @@ def load_cached_table(n: int) -> Optional[ClassTable]:
         return None
 
 
-def _obtain_table(args: argparse.Namespace, max_n: int, command: str, work: str) -> ClassTable:
+def _obtain_table(args: argparse.Namespace, command: str, work: str) -> ClassTable:
     """The class table of S_n for a table command; a usage error when n is
-    outside 1..max_n, or from ``LONG_RUN_THRESHOLD`` on without --allow-long."""
+    outside 1..``ENUMERATION_MAX_N``, or from ``LONG_RUN_THRESHOLD`` on
+    without --allow-long."""
     n = args.n
     # Before the long-run gate: its message formats n!, too large for str() at huge n.
-    if not 1 <= n <= max_n:
-        raise UsageError(f"{command} supports 1 <= n <= {max_n}")
+    if not 1 <= n <= ENUMERATION_MAX_N:
+        raise UsageError(f"{command} supports 1 <= n <= {ENUMERATION_MAX_N}")
     if n >= LONG_RUN_THRESHOLD and not args.allow_long:
         raise UsageError(
             f"n = {n} {work} all {math.factorial(n)} words of S_{n}; "
@@ -159,7 +160,7 @@ def _format_table(table: ClassTable) -> str:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    table = _obtain_table(args, ENUMERATION_MAX_N, "enumerate", "scans")
+    table = _obtain_table(args, "enumerate", "scans")
     if args.format == "json":
         _write_json(table.to_json_obj(), sys.stdout)
     elif args.format == "csv":
@@ -199,7 +200,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_poset(args: argparse.Namespace) -> int:
     n = args.n
-    table = _obtain_table(args, POSET_MAX_N, "poset construction", "orders the classes of")
+    table = _obtain_table(args, "poset construction", "orders the classes of")
     poset = build_poset(table)
     diagram = hasse(poset)
     first, last = poset.bounds()

@@ -451,9 +451,12 @@ class ClassTable:
         ``obj`` must equal exactly what ``to_json_obj`` writes for it.  To
         check a stored grouping takes a key per orbit of words, which is the
         enumeration itself, so no other field is trusted.  Raises ValueError
-        when n is not an int in 1..``ENUMERATION_MAX_N`` or when ``obj``
-        differs from the table in any field.
+        when ``obj`` is not a dict, when n is not an int in
+        1..``ENUMERATION_MAX_N`` or when ``obj`` differs from the table in
+        any field.
         """
+        if not isinstance(obj, dict):
+            raise ValueError(f"the entry is not an object: {obj!r}")
         n = obj.get("n")
         if type(n) is not int:
             raise ValueError(f"the entry's n is not an int: {n!r}")

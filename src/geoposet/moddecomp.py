@@ -14,7 +14,10 @@ whose internal nodes fall into three kinds:
 
 The number of transitive orientations of a transitively orientable graph is
 the product of k! over degenerate 1-nodes with k children and 2 per prime
-node.
+node.  ``count_transitive_orientations`` and
+``prime_unique_orientability_check`` both read one walk of the tree
+(``_node_factors``), which rebuilds each prime quotient and decides it by
+Gallai forcing from one edge.
 
 For cograph words (no prime nodes anywhere) the tree also determines how
 many permutations a given orientation represents, hence the exact size of a
@@ -31,7 +34,6 @@ graph decomposition here (``decompose`` and what calls it) serves the
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -83,9 +85,6 @@ class MDTree:
             }
 
         return encode(self.root)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
 
     def to_dot(self) -> str:
         lines = ["digraph mdtree {", "  node [shape=box];"]
@@ -201,30 +200,48 @@ def quotient_graph(g: Graph, node: MDNode) -> Graph:
     return Graph(k, frozenset(edges))
 
 
-def count_transitive_orientations(g: Graph) -> int:
-    """Count transitive orientations via the decomposition tree.
+def _node_factors(g: Graph) -> Iterator[Optional[int]]:
+    """Each internal node's factor of the orientation count of g.
 
-    Degenerate 1-nodes with k children contribute k! (their quotient is a
-    complete graph), prime nodes contribute 2 when their quotient is
-    orientable at all, and a single non-orientable prime quotient makes the
-    whole count 0.  In a prime quotient the arcs forced by one oriented
-    edge cover every edge, and unless they force both directions of some
-    edge they are transitive (Gallai 1967): that orientation and its
-    reverse are the only two.  Both facts are asserted.
+    A degenerate 1-node with k children gives k! (its quotient is a
+    complete graph), a degenerate 0-node nothing, and a prime node 2 or 0 by
+    Gallai forcing from one edge of its quotient: if the forced arcs
+    conflict, no orientation holds that edge either way, so there are 0;
+    if they orient the whole quotient transitively, that orientation and
+    its reverse are the only 2.  A prime node whose forced arcs do neither
+    gives None, which Gallai (1967) rules out.
     """
-    tree = decompose(g)
-    total = 1
-    for node in tree.internal_nodes():
+    for node in decompose(g).internal_nodes():
         if node.kind is NodeKind.DEGENERATE_1:
-            total *= math.factorial(len(node.children))
+            yield math.factorial(len(node.children))
         elif node.kind is NodeKind.PRIME:
             q = quotient_graph(g, node)
             out = _forced_arcs(q)
             if out is None:
-                return 0
-            assert _orients(q, out), "conflict-free forcing orients a prime graph transitively"
-            total *= 2
-    return total
+                yield 0
+            elif sum(o.bit_count() for o in out) == len(q.edges) and is_closed(out):
+                yield 2
+            else:
+                yield None
+
+
+def count_transitive_orientations(g: Graph) -> int:
+    """Count transitive orientations via the decomposition tree: the
+    product of k! over degenerate 1-nodes with k children and of 2 or 0
+    over prime nodes (``_node_factors``).  Asserts that the forced arcs of
+    every orientable prime quotient orient it.
+
+    >>> from geoposet.graphs import complete_graph, cycle_graph, path_graph
+    >>> count_transitive_orientations(cycle_graph(5))
+    0
+    >>> count_transitive_orientations(path_graph(4))
+    2
+    >>> count_transitive_orientations(complete_graph(4))
+    24
+    """
+    factors = list(_node_factors(g))
+    assert None not in factors, "conflict-free forcing orients a prime graph transitively"
+    return math.prod(factors)
 
 
 def _forced_arcs(q: Graph) -> Optional[list[int]]:
@@ -251,34 +268,17 @@ def _forced_arcs(q: Graph) -> Optional[list[int]]:
     return out
 
 
-def _orients(q: Graph, out: list[int]) -> bool:
-    """Do the arcs ``out`` cover every edge of q, transitively?"""
-    return sum(o.bit_count() for o in out) == len(q.edges) and is_closed(out)
-
-
 def is_cograph(g: Graph) -> bool:
     """No prime node anywhere in the decomposition tree."""
     return not decompose(g).has_prime_node()
 
 
 def prime_unique_orientability_check(g: Graph) -> bool:
-    """Every prime quotient admits 0 or exactly 2 transitive orientations.
-
-    Decided by Gallai forcing from one edge of each prime quotient, at any
-    size: if the forced arcs conflict, no orientation holds that edge
-    either way, so there are 0; if they orient the whole quotient
-    transitively, that orientation and its reverse are the only 2.  Returns
-    False when the forced arcs do neither.  Vacuously true without prime
-    nodes.
+    """Every prime quotient admits 0 or exactly 2 transitive orientations,
+    decided by Gallai forcing from one edge, at any size
+    (``_node_factors``).  Vacuously true without prime nodes.
     """
-    tree = decompose(g)
-    for node in tree.internal_nodes():
-        if node.kind is NodeKind.PRIME:
-            q = quotient_graph(g, node)
-            out = _forced_arcs(q)
-            if out is not None and not _orients(q, out):
-                return False
-    return True
+    return None not in _node_factors(g)
 
 
 @dataclass(frozen=True)
@@ -287,12 +287,17 @@ class ClassSizeReport:
 
     n_d: int  # permutations represented by D(pi)
     self_related: bool  # D isomorphic to its own reversal
-    class_size: int
 
-    def __post_init__(self) -> None:
-        expected = self.n_d if self.self_related else 2 * self.n_d
-        if self.class_size != expected:
-            raise ValueError("class_size inconsistent with n_d and self_related")
+    @property
+    def class_size(self) -> int:
+        """n_d, doubled unless D(pi) is isomorphic to its reversal.
+
+        >>> cograph_class_size(Permutation((1, 3, 2, 5, 4))).class_size
+        3
+        >>> cograph_class_size(Permutation((1, 2, 4, 5, 3))).class_size
+        6
+        """
+        return self.n_d if self.self_related else 2 * self.n_d
 
 
 def cograph_class_size(p: Permutation) -> ClassSizeReport:
@@ -316,9 +321,4 @@ def cograph_class_size(p: Permutation) -> ClassSizeReport:
     n_d = _separable_count(code)[0]
     if not n_d:
         raise ValueError("inversion graph has a prime node; class size needs enumeration")
-    self_related = code == inverse_code
-    return ClassSizeReport(
-        n_d=n_d,
-        self_related=self_related,
-        class_size=n_d if self_related else 2 * n_d,
-    )
+    return ClassSizeReport(n_d=n_d, self_related=code == inverse_code)

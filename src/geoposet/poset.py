@@ -65,8 +65,6 @@ from .perms import Permutation, inverse, inverse_word, word_masks
 from .digraphs import from_perm, spanning_embeds  # noqa: F401
 from .perms import inversion_set  # noqa: F401
 
-# The largest n the ``poset`` command builds the order for.
-POSET_MAX_N = 9
 # From this n on, ``Poset.to_json_obj`` writes the covers, not the dense
 # matrix (57.8 M cells at n = 8).
 COMPACT_JSON_MIN_N = 8
@@ -414,9 +412,6 @@ class HasseDiagram:
             "nodes": list(self.labels),
             "edges": [[self.labels[i], self.labels[j]] for i, j in self.edges],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
 
     def to_dot(self) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]

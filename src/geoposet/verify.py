@@ -2,14 +2,18 @@
 
 Each suite checks one identity that ties at least two independent code
 paths together, exhaustively up to the requested size and by fixed-seed
-sampling above it.  The summary is machine-readable; any failed suite makes
+sampling above it.  The cases come from ``_words`` (every word of
+S_1..S_top) or ``_pairs`` (every pair up to one size, then seeded samples),
+and ``_first_failure`` finds the first case an identity rejects and counts
+the cases checked.  The summary is machine-readable; any failed suite makes
 the command exit nonzero.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .digraphs import (
     Digraph,
@@ -58,53 +62,74 @@ def _random_word(rng: random.Random, n: int) -> Permutation:
     return Permutation(tuple(word))
 
 
+def _words(top: int) -> Iterator[Permutation]:
+    """Every word of S_1..S_top, by size."""
+    return itertools.chain.from_iterable(all_permutations(n) for n in range(1, top + 1))
+
+
+def _pairs(top: int, sizes: Iterable[int], samples: int, rng: random.Random) -> Iterator[tuple]:
+    """Every ordered pair of words of S_n for n <= top, then ``samples``
+    seeded random pairs of S_n for each n in ``sizes``."""
+    for n in range(1, top + 1):
+        yield from itertools.product(all_permutations(n), repeat=2)
+    for n in sizes:
+        for _ in range(samples):
+            yield _random_word(rng, n), _random_word(rng, n)
+
+
+def _first_failure(cases: Iterable, holds: Callable[..., bool]) -> tuple[object, int]:
+    """The first case that ``holds`` rejects, or None, and the number of
+    cases checked before it."""
+    checked = 0
+    for case in cases:
+        if not holds(case):
+            return case, checked
+        checked += 1
+    return None, checked
+
+
 def _suite_inversion_round_trip(n_max: int, rng: random.Random):
     top = min(n_max, 5)
-    count = 0
-    for n in range(1, top + 1):
-        for p in all_permutations(n):
-            if perm_from_inversion_set(inversion_set(p)) != p:
-                return False, f"round trip failed at {p}"
-            count += 1
+    bad, count = _first_failure(
+        _words(top), lambda p: perm_from_inversion_set(inversion_set(p)) == p
+    )
+    if bad is not None:
+        return False, f"round trip failed at {bad}"
     return True, f"rebuilt {count} words from their inversion sets (n <= {top})"
 
 
 def _suite_symmetric_difference(n_max: int, rng: random.Random):
-    checked = 0
-    for n in range(1, min(n_max, 4) + 1):
-        for rho in all_permutations(n):
-            for sigma in all_permutations(n):
-                if not check_symmetric_difference(rho, sigma):
-                    return False, f"identity failed at rho={rho} sigma={sigma}"
-                checked += 1
-    for n in range(5, 10):
-        for _ in range(60):
-            rho, sigma = _random_word(rng, n), _random_word(rng, n)
-            if not check_symmetric_difference(rho, sigma):
-                return False, f"identity failed at rho={rho} sigma={sigma}"
-            checked += 1
+    bad, checked = _first_failure(
+        _pairs(min(n_max, 4), range(5, 10), 60, rng),
+        lambda pair: check_symmetric_difference(*pair),
+    )
+    if bad is not None:
+        return False, f"identity failed at rho={bad[0]} sigma={bad[1]}"
     return True, f"action equals symmetric difference on {checked} pairs"
 
 
 def _suite_inverse_relation(n_max: int, rng: random.Random):
+    def holds(p: Permutation) -> bool:
+        pos = p.positions()
+        expected = {(pos[j - 1], pos[i - 1]) for i, j in inversion_set(p).pairs}
+        return inversion_set(inverse(p)).pairs == expected
+
     top = min(n_max, 5)
-    for n in range(1, top + 1):
-        for p in all_permutations(n):
-            pos = p.positions()
-            expected = {(pos[j - 1], pos[i - 1]) for i, j in inversion_set(p).pairs}
-            if inversion_set(inverse(p)).pairs != expected:
-                return False, f"inverse relation failed at {p}"
+    bad, _ = _first_failure(_words(top), holds)
+    if bad is not None:
+        return False, f"inverse relation failed at {bad}"
     return True, f"inverse pair relation holds exhaustively (n <= {top})"
 
 
 def _suite_reverse_digraph(n_max: int, rng: random.Random):
     top = min(n_max, 5)
-    for n in range(1, top + 1):
-        for p in all_permutations(n):
-            if canonical_key(arc_reverse(from_perm(p))) != canonical_key(
-                from_perm(inverse(p))
-            ):
-                return False, f"reversal/inverse mismatch at {p}"
+    bad, _ = _first_failure(
+        _words(top),
+        lambda p: canonical_key(arc_reverse(from_perm(p)))
+        == canonical_key(from_perm(inverse(p))),
+    )
+    if bad is not None:
+        return False, f"reversal/inverse mismatch at {bad}"
     return True, f"arc reversal matches the inverse digraph (n <= {top})"
 
 
@@ -123,37 +148,22 @@ def _suite_key_relabeling(n_max: int, rng: random.Random):
 
 
 def _suite_fast_vs_bruteforce(n_max: int, rng: random.Random):
-    checked = 0
-    for n in range(1, min(n_max, 4) + 1):
-        perms = list(all_permutations(n))
-        for sigma in perms:
-            for pi in perms:
-                if equivalent_fast(sigma, pi) != (
-                    equivalent_bruteforce(sigma, pi) is not None
-                ):
-                    return False, f"oracles disagree on ({sigma}, {pi})"
-                checked += 1
-    for n in (5, 6):
-        if n > n_max:
-            break
-        for _ in range(150):
-            sigma, pi = _random_word(rng, n), _random_word(rng, n)
-            if equivalent_fast(sigma, pi) != (
-                equivalent_bruteforce(sigma, pi) is not None
-            ):
-                return False, f"oracles disagree on ({sigma}, {pi})"
-            checked += 1
+    bad, checked = _first_failure(
+        _pairs(min(n_max, 4), range(5, min(n_max, 6) + 1), 150, rng),
+        lambda pair: equivalent_fast(*pair) == (equivalent_bruteforce(*pair) is not None),
+    )
+    if bad is not None:
+        return False, f"oracles disagree on ({bad[0]}, {bad[1]})"
     return True, f"digraph and witness-search oracles agree on {checked} pairs"
 
 
 def _suite_geometry(n_max: int, rng: random.Random):
-    top = min(n_max, 5)
-    count = 0
-    for n in range(1, top + 1):
-        for p in all_permutations(n):
-            if crossings(build_realization(p)).pairs != inversion_set(p).pairs:
-                return False, f"crossing set mismatch at {p}"
-            count += 1
+    bad, count = _first_failure(
+        _words(min(n_max, 5)),
+        lambda p: crossings(build_realization(p)).pairs == inversion_set(p).pairs,
+    )
+    if bad is not None:
+        return False, f"crossing set mismatch at {bad}"
     return True, f"template crossings equal inversion sets for {count} words"
 
 

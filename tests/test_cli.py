@@ -486,6 +486,31 @@ VERIFY_5_STDOUT = [
 ]
 
 
+# N_MAX = 6 is the only size at which schroeder-count, class-counts and
+# cograph-class-sizes reach n = 6.
+VERIFY_6_STDOUT = [
+    "PASS inversion-round-trip: rebuilt 153 words from their inversion sets (n <= 5)",
+    "PASS symmetric-difference: action equals symmetric difference on 917 pairs",
+    "PASS inverse-pair-relation: inverse pair relation holds exhaustively (n <= 5)",
+    "PASS reverse-digraph: arc reversal matches the inverse digraph (n <= 5)",
+    "PASS key-relabeling: canonical keys are relabeling-invariant on 25 samples",
+    "PASS fast-vs-bruteforce: digraph and witness-search oracles agree on 917 pairs",
+    "PASS geometry-crossings: template crossings equal inversion sets for 153 words",
+    "PASS orientation-count: decomposition count matches enumeration on all of S_5",
+    "PASS cograph-class-sizes: closed-form class sizes match enumeration for 515 cograph words",
+    "PASS schroeder-count: cograph counts follow the large Schroeder numbers: "
+    "[1, 2, 6, 22, 90, 394]",
+    "PASS class-counts: class counts match the known sequence: [1, 2, 4, 12, 39, 182]",
+    "PASS reference-table: reference classes matched exactly: 38; reference class 4.2: "
+    "listed word 15234 belongs elsewhere; enumeration puts 15243 in this class; "
+    "duplicated word 15234 enumerates into our class 3.2",
+    "PASS poset-structure: S_3 is a 4-chain; n=4 bounded, graded, extends Bruhat; "
+    "n=5 bounded, graded, extends Bruhat",
+    "PASS four-family: four-member families stay inside their class on 40 samples",
+    "verified 14 suites; ok = True",
+]
+
+
 def test_verify_json_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
     js = tmp_path / "missing" / "verify.json"
     code, out, err = run_cli(capsys, "verify", "2", "--json", str(js))
@@ -498,6 +523,12 @@ def test_verify_5_stdout(capsys):
     code, out, _ = run_cli(capsys, "verify", "5")
     assert code == 0
     assert out.splitlines() == VERIFY_5_STDOUT
+
+
+def test_verify_6_stdout(capsys):
+    code, out, _ = run_cli(capsys, "verify", "6")
+    assert code == 0
+    assert out.splitlines() == VERIFY_6_STDOUT
 
 
 def test_verify_reports_a_failing_suite(tmp_path, capsys, monkeypatch):

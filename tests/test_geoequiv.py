@@ -556,6 +556,12 @@ def test_table_from_json_obj_refuses_an_n_that_is_not_an_int(obj):
         ClassTable.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("obj", [[], 5, None, "x"], ids=repr)
+def test_table_from_json_obj_refuses_an_entry_that_is_not_an_object(obj):
+    with pytest.raises(ValueError, match="not an object"):
+        ClassTable.from_json_obj(obj)
+
+
 def test_table_csv_shape():
     table = enumerate_classes(3)
     lines = table.to_csv().strip().splitlines()

@@ -347,7 +347,7 @@ def test_inversion_graph_2431_is_cograph():
 
 def test_class_size_identity():
     report = cograph_class_size(identity(5))
-    assert report == ClassSizeReport(n_d=1, self_related=True, class_size=1)
+    assert report == ClassSizeReport(n_d=1, self_related=True)
 
 
 def test_class_size_two_disjoint_edges():

@@ -39,3 +39,15 @@ def test_counts_cover_every_module_of_the_working_tree():
     counts = src_lines.counts(None)
     assert "poset.py" in counts and "__init__.py" in counts
     assert all(count > 0 for count in counts.values())
+
+
+def test_counts_at_a_revision_name_the_same_modules():
+    assert src_lines.counts("HEAD").keys() == src_lines.counts(None).keys()
+
+
+def test_a_bad_revision_is_a_usage_error(capsys):
+    assert src_lines.main(["nosuchrev"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -10,7 +10,8 @@ into or out of a docstring does not change the count.
     python tools/src_lines.py BASE HEAD       # two git revisions
 
 Prints the count of every ``src/geoposet/*.py`` file, the total and, with a
-revision, the difference.  Standard library only.
+revision, the difference.  A revision git cannot read is a usage error:
+one ``error:`` line on stderr and exit status 2.  Standard library only.
 """
 
 from __future__ import annotations
@@ -98,8 +99,13 @@ def main(argv: list[str]) -> int:
             print(f"{name:<16}{count:>6}")
         print(f"{'total':<16}{sum(now.values()):>6}")
         return 0
-    base = counts(argv[0])
-    head = counts(argv[1] if len(argv) == 2 else None)
+    try:
+        base = counts(argv[0])
+        head = counts(argv[1] if len(argv) == 2 else None)
+    except subprocess.CalledProcessError as exc:
+        detail = "; ".join(exc.stderr.strip().splitlines())
+        print(f"error: git cannot read {PACKAGE} at {' or '.join(argv)}: {detail}", file=sys.stderr)
+        return 2
     labels = (argv[0][:10], argv[1][:10] if len(argv) == 2 else "worktree")
     print(f"{'file':<16}{labels[0]:>10}{labels[1]:>10}{'diff':>7}")
     for name in sorted(base.keys() | head.keys()):
