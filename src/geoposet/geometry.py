@@ -107,9 +107,14 @@ def _fmt(q: Fraction) -> str:
 
 def _parse_fraction(text: str) -> Fraction:
     """The fraction ``text`` spells; ValueError on any malformed one, a zero
-    denominator included."""
+    denominator and exponent notation included.  ``Fraction`` would expand
+    an exponent, so an 11-character "1e-10000000" would cost seconds and
+    megabytes; ``_fmt`` only ever writes p/q."""
+    text = str(text)
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text!r}")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

@@ -30,10 +30,10 @@ straight from the word; at n = 6 that is 145 of the 182 classes.  A pair
 is decided by a search into the target's digraph and, when that misses and
 neither class is self-related (its digraph is isomorphic to its reversal),
 by a second search into the target's arc reversal, which is isomorphic to
-the inverse's digraph.  The reversal is built on the first such miss: 58
-of the 145 at n = 6.  ``mask_embedding`` rejects a pair before it searches
-at all when no bijection gives every source vertex a target with at least
-its out- and in-degree.
+the inverse's digraph.  The reversal is built for that search alone and
+dropped after it: 86 times at n = 6.  ``mask_embedding`` rejects a pair
+before it searches at all when no bijection gives every source vertex a
+target with at least its out- and in-degree.
 
 Classes are indexed in ascending inversion count, and row i holds only
 classes of higher levels besides i, so every row is upper-triangular: it
@@ -75,29 +75,16 @@ def _shapes(p: Permutation) -> MaskDigraph:
     return MaskDigraph.from_masks(*word_masks(p.word))
 
 
-def _embeds(
-    source: MaskDigraph,
-    j: int,
-    shapes: list[Optional[MaskDigraph]],
-    reversals: list[Optional[MaskDigraph]],
-    one_way: bool,
-) -> bool:
-    """Does ``source`` embed into D(j) = ``shapes[j]`` or, unless
-    ``one_way``, into D(j) reversed?  The reversal is ``reversals[j]``,
-    built on the first search that needs it, once the search into D(j) has
-    missed, and kept there.  Pass ``one_way`` when either class is
+def _embeds(source: MaskDigraph, target: MaskDigraph, one_way: bool) -> bool:
+    """Does ``source`` embed into ``target`` or, unless ``one_way``, into
+    ``target`` reversed?  The reversal is built only when the search into
+    ``target`` has missed.  Pass ``one_way`` when either class is
     self-related: D(i) embeds into D(j) reversed exactly when D(i) reversed
     embeds into D(j); that is D(i) again, up to isomorphism, when i's class
     is self-related, and D(j) reversed is D(j) when j's is."""
-    target = shapes[j]
     if mask_embedding(source, target) is not None:
         return True
-    if one_way:
-        return False
-    reversal = reversals[j]
-    if reversal is None:
-        reversal = reversals[j] = target.flipped()
-    return mask_embedding(source, reversal) is not None
+    return not one_way and mask_embedding(source, target.flipped()) is not None
 
 
 def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
@@ -116,9 +103,7 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
         return False
     return _embeds(
         _shapes(c_sigma.representative),
-        0,
-        [_shapes(c_pi.representative)],
-        [None],
+        _shapes(c_pi.representative),
         c_sigma.self_related or c_pi.self_related,
     )
 
@@ -224,14 +209,15 @@ def build_poset(source: "int | ClassTable") -> Poset:
     skipped followed a miss and would have missed too.  A class's digraph
     (``_shapes``) is built the first time a decision reads it, as source
     or target: 30/145/887 of 39/182/1 033 classes at n = 5/6/7.  The
-    others are settled by the floor and the cascades alone.  Its reversal
-    is built the first time a decision searches it: 6/58/511 classes.
-    Both are kept in per-class lists, so a decision allocates nothing.  No
-    later row reads ``floor[i]``, ``col[i]`` or the digraphs of class i,
-    since every later decision is on a class above that row, so they are
-    dropped once row i is filled.  The classes must come in ascending
-    inversion count, which the bisection for the higher levels assumes; a
-    table that does not raises ValueError.
+    others are settled by the floor and the cascades alone.  The digraphs
+    are kept in a per-class list.  A reversal is built for each second
+    search and dropped after it: 7/86/1 003, one per miss into D(j) with
+    neither class self-related.  No later row reads ``floor[i]``,
+    ``col[i]`` or the digraph of class i, since every later decision is on
+    a class above that row, so they are dropped once row i is filled.  The
+    classes must come in ascending inversion count, which the bisection
+    for the higher levels assumes; a table that does not raises
+    ValueError.
 
     Covers.  Let the candidates of i now be ``up[i]`` and the hits of row
     i.  Every class j in row i other than i lies in the floor row of one
@@ -268,7 +254,6 @@ def build_poset(source: "int | ClassTable") -> Poset:
 
     related = [c.self_related for c in classes]
     shapes: list[Optional[MaskDigraph]] = [None] * size
-    reversals: list[Optional[MaskDigraph]] = [None] * size
     rows = [0] * size
     hits = []
     everything = (1 << size) - 1
@@ -288,7 +273,7 @@ def build_poset(source: "int | ClassTable") -> Poset:
                 shapes[j] = _shapes(classes[j].representative)
             if shapes[i] is None:
                 shapes[i] = _shapes(classes[i].representative)
-            if _embeds(shapes[i], j, shapes, reversals, related[i] or related[j]):
+            if _embeds(shapes[i], shapes[j], related[i] or related[j]):
                 row |= floor[j]
                 found.append(j)
                 unknown &= ~floor[j]
@@ -297,8 +282,8 @@ def build_poset(source: "int | ClassTable") -> Poset:
         rows[i] = row
         hits.append(found)
         floor[i] = col[i] = 0
-        shapes[i] = reversals[i] = None
-    del floor, col, below, shapes, reversals
+        shapes[i] = None
+    del floor, col, below, shapes
     covers = []
     for i, found in enumerate(hits):
         above = 0

@@ -152,6 +152,58 @@ def test_class_members_match_enumeration(n):
         assert class_members(p) == table.class_of(p).members, str(p)
 
 
+def _module_moves(w: tuple[int, ...]):
+    """The words one move away from w, each with D isomorphic to D(w) or to
+    its reversal: (a) w⁻¹, whose digraph is D(w) reversed; (b) a block
+    w[a:b], the positions holding the consecutive values lo..hi, replaced by
+    rc of the inverse of its pattern, since D(rc(x⁻¹)) ≅ D(x) and a block is
+    a module of D(w); (c) the adjacent blocks A = w[a:c] and B = w[c:b] of a
+    block w[a:b] with A below B swapped, B shifted down by |A| and A up by
+    |B|, since the digraph of A ⊕ B is the disjoint union of D(A) and D(B)."""
+    n = len(w)
+    yield inverse_word(w)
+    for a in range(n):
+        lo = hi = w[a]
+        for b in range(a + 1, n + 1):
+            lo, hi = min(lo, w[b - 1]), max(hi, w[b - 1])
+            if hi - lo != b - 1 - a:
+                continue
+            pattern = _rc_inverse(tuple(v - lo + 1 for v in w[a:b]))
+            yield w[:a] + tuple(v + lo - 1 for v in pattern) + w[b:]
+            for c in range(a + 1, b):
+                if max(w[a:c]) == lo + c - a - 1:
+                    low = tuple(v + b - c for v in w[a:c])
+                    yield w[:a] + tuple(v - (c - a) for v in w[c:b]) + low + w[b:]
+
+
+def _move_closure(w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every word reached from w by ``_module_moves``, in ascending order."""
+    seen = {w}
+    todo = [w]
+    while todo:
+        for x in _module_moves(todo.pop()):
+            if x not in seen:
+                seen.add(x)
+                todo.append(x)
+    return tuple(sorted(seen))
+
+
+LONG = pytest.mark.skipif(
+    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
+    reason="the n = 8 closures take a few seconds; set GEOPOSET_ACCEPT_LONG=1",
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=LONG)])
+def test_class_members_are_the_closure_of_three_moves(n):
+    # an oracle that shares no code with the bijection scan or the keys:
+    # each class is the closure of its representative under the moves
+    table = enumerate_classes(n)
+    for c in table.classes:
+        members = table.class_of(c.representative).members
+        assert _move_closure(c.representative.word) == tuple(m.word for m in members), c.label
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 

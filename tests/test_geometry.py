@@ -286,6 +286,8 @@ def with_vertices(vertices):
         with_vertices({"1": 5, "2": ["1", "1"]}),
         dict(with_vertices({"1": ["0", "1"]}), a=["1/0", "0"]),  # zero denominator
         with_vertices({"1": ["0", "1/0"]}),
+        with_vertices({"1": ["1e5", "1"]}),  # exponent notation
+        with_vertices({"1": ["0", "1e-100"]}),
     ],
 )
 def test_json_rejects_malformed_objects(obj):
