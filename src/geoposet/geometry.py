@@ -7,17 +7,20 @@ is built on are checked with no floating-point slack.
 
 Each public call computes one table of orientation signs: the side of the
 line ab that each spoke s_i lies on, and for each apex the sign of
-orient(apex, s_i, s_j) for every pair of spokes.  The general-position
-check, the crossings and the recovery order all read that table.  The edge
-b-i crosses the edge a-j exactly when s_i comes before s_j around b and
-after it around a, so crossings are inversions.
+orient(apex, s_i, s_j) for every pair of spokes.  Every sign is that of an
+integer cross product: each vector out of b or an apex is cleared of
+denominators by a positive factor of its own, which keeps the sign, so no
+``Fraction`` arithmetic runs (``orient`` is the ``Fraction`` reference).
+The general-position check, the crossings and the recovery order all read
+that table.  The edge b-i crosses the edge a-j exactly when s_i comes
+before s_j around b and after it around a, so crossings are inversions.
 
 ``build_realization`` lays a permutation out on a template: both apexes sit
 on the x-axis and each sends a fan of rays into the upper half-plane, the
 b-fan right-leaning and the a-fan left-leaning so that every b-ray meets
 every a-ray.  Vertex i goes at the intersection of the i-th b-ray with the
-a-ray whose rank is the position of i in the word.  Crossings of such a
-drawing are exactly the inversions.
+a-ray whose rank is the position of i in the word, a point written in
+closed form.  Crossings of such a drawing are exactly the inversions.
 
 ``recover_permutation`` inverts the construction for an arbitrary
 realization: spokes are relabeled by increasing angle at b (one chosen side
@@ -36,6 +39,7 @@ from typing import Iterable
 from .perms import Pair, PairSet, Permutation
 
 Point = tuple[Fraction, Fraction]
+Ints = tuple[int, int, int, int]
 
 
 class GeneralPositionError(ValueError):
@@ -98,7 +102,10 @@ class Realization:
 
 def _as_point(p: Iterable) -> Point:
     x, y = p
-    return (Fraction(x), Fraction(y))
+    try:
+        return (Fraction(x), Fraction(y))
+    except OverflowError:
+        raise ValueError(f"a coordinate of {p!r} is not finite") from None
 
 
 def _fmt(q: Fraction) -> str:
@@ -120,8 +127,29 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def orient(p: Point, q: Point, r: Point) -> Fraction:
-    """Twice the signed area of the triangle p, q, r (exact)."""
+    """Twice the signed area of the triangle p, q, r (exact).
+
+    The ``Fraction`` reference for the signs ``_signs`` computes in integers;
+    the tests compare the two.
+    """
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _vectors(base: Ints, points: Iterable[Ints]) -> list[tuple[int, int]]:
+    """Each point minus ``base``, as an int pair scaled by a positive factor.
+
+    Points come as (x.num, x.den, y.num, y.den).  For s = (x, y) and base
+    (x0, y0) both coordinates of s - base are multiplied by
+    x.den * x0.den * y.den * y0.den, which clears every denominator.  The
+    factor is positive and differs from vector to vector, so the sign of a
+    cross product of two of them is that of the exact one.  A common
+    denominator over all points would cost more on co-prime ones.
+    """
+    xn0, xd0, yn0, yd0 = base
+    return [
+        ((xn * xd0 - xn0 * xd) * yd * yd0, (yn * yd0 - yn0 * yd) * xd * xd0)
+        for xn, xd, yn, yd in points
+    ]
 
 
 def _signs(r: Realization) -> tuple[list[int], list[list[int]], list[list[int]]]:
@@ -130,28 +158,30 @@ def _signs(r: Realization) -> tuple[list[int], list[list[int]], list[list[int]]]
     Returns ``side`` and the tables ``at_b`` and ``at_a``, all 0-based:
     ``side[i]`` is the sign of orient(b, a, s_i), and ``at_apex[i][j]`` the
     sign of orient(apex, s_i, s_j), antisymmetric with a zero diagonal.
-    Raises ``GeneralPositionError`` at the first zero among them, after
-    rejecting coinciding apexes or points (see ``validate_general_position``).
+    Each sign is that of an integer cross product of two ``_vectors`` out of
+    b or the apex, and points are compared by their numerators and
+    denominators (a ``Fraction`` is in lowest terms), so no ``Fraction``
+    arithmetic runs.  Raises ``GeneralPositionError`` at the first zero
+    among them, after rejecting coinciding apexes or points (see
+    ``validate_general_position``).
     """
-    if r.a == r.b:
+    a, b, *spokes = pts = [
+        (x.numerator, x.denominator, y.numerator, y.denominator) for x, y in (r.a, r.b, *r.spokes)
+    ]
+    if a == b:
         raise GeneralPositionError("apexes coincide")
-    pts = [r.a, r.b, *r.spokes]
     if len(set(pts)) != len(pts):
         raise GeneralPositionError("coincident points")
-    side = []
-    for i, p in enumerate(r.spokes, start=1):
-        o = orient(r.b, r.a, p)
-        if o == 0:
-            raise GeneralPositionError(f"spoke {i} lies on the line through the apexes")
-        side.append(1 if o > 0 else -1)
+    (ax, ay), *from_b = _vectors(b, [a, *spokes])
+    side = [(o > 0) - (o < 0) for o in (ax * y - ay * x for x, y in from_b)]
+    if 0 in side:
+        raise GeneralPositionError(f"spoke {side.index(0) + 1} lies on the line through the apexes")
     tables = []
-    for apex_name, (x0, y0) in (("b", r.b), ("a", r.a)):
-        vs = [(x - x0, y - y0) for x, y in r.spokes]
+    for apex_name, vs in (("b", from_b), ("a", _vectors(a, spokes))):
         t = [[0] * r.n for _ in range(r.n)]
-        for i in range(r.n):
-            for j in range(i + 1, r.n):
-                # orient(apex, s_i, s_j), from the vectors out of the apex
-                o = vs[i][0] * vs[j][1] - vs[i][1] * vs[j][0]
+        for i, (xi, yi) in enumerate(vs):
+            for j, (xj, yj) in enumerate(vs[i + 1 :], start=i + 1):
+                o = xi * yj - yi * xj
                 if o == 0:
                     raise GeneralPositionError(
                         f"spokes {i + 1} and {j + 1} are collinear with apex {apex_name}"
@@ -177,44 +207,30 @@ def validate_general_position(r: Realization) -> None:
 # the template
 
 
-def _b_fan(k: int) -> Fraction:
-    """Cotangent of the k-th b-ray: positive, strictly decreasing in k,
-    so the angle grows with the label."""
-    return Fraction(7, 4 * k + 1)
+def build_realization(p: Permutation) -> Realization:
+    """The template drawing of K_{2,n} for the word p.
 
+    b sits at the origin and a at (100, 0).  The b-ray of label i leaves b
+    with cotangent 7/(4i+1): positive and strictly decreasing in i, so the
+    angle grows with the label.  The a-ray of rank m leaves a with cotangent
+    -9/(5m+2): negative and strictly increasing in m, so every b-ray meets
+    every a-ray above the axis.  Vertex i is placed where b-ray i meets the
+    a-ray whose rank m is the position of i in the word, making the crossing
+    set of the drawing equal the inversion set of p.  Solving the two rays,
+    with u = 4i+1, v = 5m+2 and D = 7v + 9u, that point is
+    (700v/D, 100uv/D).
 
-def _a_fan(m: int) -> Fraction:
-    """Cotangent of the rank-m a-ray: negative, strictly increasing in m.
-
-    The two tables are deliberately not mirror images; a symmetric choice
+    The two fans are deliberately not mirror images; a symmetric choice
     puts every fixed point of the word at the same x coordinate and lines
     up spoke triples.  With these denominators no three spokes are
     collinear in any template through n = 7 (checked exhaustively).
     """
-    return -Fraction(9, 5 * m + 2)
-
-
-def build_realization(p: Permutation) -> Realization:
-    """The template drawing of K_{2,n} for the word p.
-
-    b sits at the origin and a at (100, 0).  The k-th b-ray leaves b with a
-    positive cotangent (angle increasing in k); the rank-m a-ray leaves a
-    with a negative one, so every b-ray meets every a-ray above the axis.
-    Vertex i is placed where b-ray i meets the a-ray whose rank is the
-    position of i in the word, making the crossing set of the drawing equal
-    the inversion set of p.
-    """
-    n = p.n
-    pos = p.positions()
-    b: Point = (Fraction(0), Fraction(0))
-    a: Point = (Fraction(100), Fraction(0))
     spokes = []
-    for i in range(1, n + 1):
-        cb = _b_fan(i)
-        ca = _a_fan(pos[i - 1])
-        y = Fraction(100) / (cb - ca)
-        spokes.append((y * cb, y))
-    return Realization(a=a, b=b, spokes=tuple(spokes))
+    for i, m in enumerate(p.positions(), start=1):
+        u, v = 4 * i + 1, 5 * m + 2
+        d = 7 * v + 9 * u
+        spokes.append((Fraction(700 * v, d), Fraction(100 * u * v, d)))
+    return Realization(a=(100, 0), b=(0, 0), spokes=tuple(spokes))
 
 
 # ---------------------------------------------------------------------------

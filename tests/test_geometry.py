@@ -1,3 +1,5 @@
+import math
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +12,7 @@ from geoposet.geoequiv import class_key
 from geoposet.geometry import (
     GeneralPositionError,
     Realization,
+    _signs,
     build_realization,
     crossing_pairs,
     crossings,
@@ -60,6 +63,34 @@ def test_template_crossings_only_low_b_high_a():
     for p in all_permutations(4):
         for i, j in crossing_pairs(build_realization(p)):
             assert i < j
+
+
+def fan_realization(p):
+    """The template as two fans of rays: b-ray i with cotangent 7/(4i+1)
+    meets the a-ray of rank m with cotangent -9/(5m+2) at height
+    100/(cb - ca)."""
+    pos = p.positions()
+    spokes = []
+    for i in range(1, p.n + 1):
+        cb = Fraction(7, 4 * i + 1)
+        ca = -Fraction(9, 5 * pos[i - 1] + 2)
+        y = 100 / (cb - ca)
+        spokes.append((y * cb, y))
+    return Realization(a=(100, 0), b=(0, 0), spokes=tuple(spokes))
+
+
+LONG = pytest.mark.skipif(
+    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
+    reason="the n = 8 fans take a few seconds; set GEOPOSET_ACCEPT_LONG=1",
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=LONG)])
+def test_template_is_the_fan_construction(n):
+    for p in all_permutations(n):
+        r, fan = build_realization(p), fan_realization(p)
+        assert r == fan, str(p)
+        assert r.to_json() == fan.to_json(), str(p)
 
 
 def test_template_general_position_holds():
@@ -172,10 +203,14 @@ def oracle_crossing_pairs(r):
 @st.composite
 def small_realizations(draw):
     """Rational point sets on a grid: the narrow spreads make coinciding
-    points and collinear triples common, the wide ones general position."""
+    points and collinear triples common, the wide ones general position.
+    The large denominators put coordinates of very different sizes, with
+    co-prime denominators, into one drawing."""
     spread = draw(st.sampled_from([2, 4, 20, 200]))
     coord = st.builds(
-        Fraction, st.integers(-spread, spread), st.sampled_from([1, 2, 3])
+        Fraction,
+        st.integers(-spread, spread),
+        st.sampled_from([1, 2, 3, 7, 10**6 + 3, 10**30 + 57]),
     )
     point = st.tuples(coord, coord)
     n = draw(st.integers(1, 7))
@@ -209,8 +244,80 @@ def test_recovered_word_spells_the_relabeled_crossings(r, side):
     assert set(oracle_crossing_pairs(relabeled(r, relab))) == inversion_set(q).pairs
 
 
+def sign(q):
+    return (q > 0) - (q < 0)
+
+
+def test_signs_match_orient_on_100_digit_coprime_denominators():
+    # 36 coordinates over pairwise co-prime 100-digit denominators: a
+    # common denominator would have 3 600 digits, while each vector of
+    # _signs is scaled by the product of its own four
+    rng = random.Random(100)
+    small_primes = math.prod(p for p in range(2, 1000) if all(p % q for q in range(2, p)))
+    dens = []
+    while len(dens) < 36:
+        d = rng.randrange(10**99, 10**100)
+        if math.gcd(d, small_primes) == 1 and all(math.gcd(d, e) == 1 for e in dens):
+            dens.append(d)
+    coords = [Fraction(rng.randrange(-(10**100), 10**100), d) for d in dens]
+    points = list(zip(coords[::2], coords[1::2]))
+    r = Realization(a=points[0], b=points[1], spokes=tuple(points[2:]))
+    assert r.n == 16
+    assert _signs(r) == (
+        [sign(orient(r.b, r.a, s)) for s in r.spokes],
+        [[sign(orient(r.b, s, t)) for t in r.spokes] for s in r.spokes],
+        [[sign(orient(r.a, s, t)) for t in r.spokes] for s in r.spokes],
+    )
+
+
 # ---------------------------------------------------------------------------
 # degeneracies
+
+
+@pytest.mark.parametrize(
+    "a, b, spokes, message",
+    [
+        # the first case of each message also holds every degeneracy checked
+        # after it, and each collinear case holds the pairs (1, j) and
+        # (2, 3), j > 3, of which the row-by-row scan reports (1, j)
+        ((0, 0), (0, 0), ((1, 1), (1, 1), (5, 0), (2, 2)), "apexes coincide"),
+        ((10, 0), (0, 0), ((5, 0), (1, 1), (1, 1), (2, 2)), "coincident points"),
+        ((10, 0), (0, 0), ((1, 1), (0, 0)), "coincident points"),
+        ((10, 0), (0, 0), ((10, 0), (5, 0)), "coincident points"),
+        (
+            (10, 0),
+            (0, 0),
+            ((1, 1), (3, 0), (2, 2), (-4, 0), (9, 1), (8, 2)),
+            "spoke 2 lies on the line through the apexes",
+        ),
+        (
+            (10, 0),
+            (0, 0),
+            ((1, 1), (1, 3), (2, 6), (9, 1), (3, 3), (7, 3)),
+            "spokes 1 and 5 are collinear with apex b",
+        ),
+        (
+            (10, 0),
+            (0, 0),
+            ((9, 1), (8, 1), (4, 3), (6, 4)),
+            "spokes 1 and 4 are collinear with apex a",
+        ),
+    ],
+)
+def test_general_position_errors_and_their_order(a, b, spokes, message):
+    r = Realization(a=a, b=b, spokes=spokes)
+    for check in (validate_general_position, crossing_pairs, recover_permutation):
+        with pytest.raises(GeneralPositionError) as caught:
+            check(r)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_realization_refuses_non_finite_coordinates(bad):
+    with pytest.raises(ValueError):
+        Realization(a=(bad, 0), b=(0, 0), spokes=((1, 1),))
+    with pytest.raises(ValueError):
+        Realization(a=(10, 0), b=(0, 0), spokes=((1, bad),))
 
 
 def test_validate_rejects_spoke_on_apex_line():
