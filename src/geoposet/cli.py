@@ -131,7 +131,9 @@ def _obtain_table(args: argparse.Namespace, command: str, work: str) -> ClassTab
 
 def _write_json(obj: object, fh: TextIO) -> None:
     """``json.dumps(obj, indent=2)`` plus a newline, written in batches of
-    encoder chunks: never one string, nor one slow write per chunk."""
+    encoder chunks: never one string, nor one slow write per chunk.  It
+    serves ``poset --json`` and ``verify --json``; ``enumerate --format
+    json`` writes the class table's own pieces (``ClassTable.to_json``)."""
     chunks = json.JSONEncoder(indent=2).iterencode(obj)
     while batch := "".join(itertools.islice(chunks, 4096)):
         fh.write(batch)
@@ -162,7 +164,8 @@ def _format_table(table: ClassTable) -> str:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     table = _obtain_table(args, "enumerate", "scans")
     if args.format == "json":
-        _write_json(table.to_json_obj(), sys.stdout)
+        sys.stdout.writelines(table._json_pieces())
+        sys.stdout.write("\n")
     elif args.format == "csv":
         print(table.to_csv(), end="")
     else:

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from geoposet import geoequiv
 from geoposet.digraphs import canonical_key, from_perm, is_isomorphic, reverse
 from geoposet.geoequiv import (
     ClassTable,
+    GeoClass,
     class_key,
     class_members,
     compare_with_reference,
@@ -600,6 +602,37 @@ def test_table_json_round_trip():
     assert obj["count"] == 12
     again = ClassTable.from_json_obj(obj)
     assert again.to_json() == table.to_json()
+
+
+def _hand_built_tables():
+    one = Permutation((1, 2, 3))
+    yield "no classes", ClassTable(3, ())
+    yield "a class with no members", ClassTable(3, (GeoClass("0.1", 0, one, (), b""),))
+    for label in ['"', "\\", "é", "a\nb"]:
+        yield f"label {label!r}", ClassTable(3, (GeoClass(label, 0, one, (one,), b""),))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [pytest.param(enumerate_classes(n), id=f"S_{n}") for n in range(1, 9)]
+    + [pytest.param(table, id=name) for name, table in _hand_built_tables()],
+)
+def test_to_json_is_the_generic_encoding(table):
+    """``to_json`` writes the indent=2 layout itself; it must stay the
+    generic encoder's text of ``to_json_obj``, byte for byte."""
+    assert table.to_json() == json.dumps(table.to_json_obj(), indent=2)
+
+
+def test_to_json_holds_less_than_four_times_its_text():
+    table = enumerate_classes(7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = table.to_json()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text), (peak, len(text))
 
 
 @pytest.mark.parametrize("obj", [{"n": "5"}, {"n": 5.0}, {"n": True}, {}], ids=repr)

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from geoposet.cli import main
+from geoposet.geoequiv import ClassTable
 
 FILES = ("h.dot", "h.json")
 
@@ -94,3 +95,13 @@ def test_output_is_golden(capsys, tmp_path, command, pins):
         outputs += [(tmp_path / name).read_bytes() for name in FILES]
     digests = tuple(hashlib.sha256(data).hexdigest() for data in outputs)
     assert digests == (pins if isinstance(pins, tuple) else (pins,))
+
+
+def test_enumerate_json_is_written_without_the_json_object(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("enumerate --format json built to_json_obj()")
+
+    monkeypatch.setattr(ClassTable, "to_json_obj", refuse)
+    assert main(["enumerate", "7", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN["enumerate 7 --format json"]
