@@ -56,7 +56,10 @@ def equivalent_bruteforce(
     """Search S_n for a uniform witness carrying E(sigma) onto E(pi).
 
     Candidates are tried in lexicographic order, so the witness is
-    deterministic.  An empty inversion set is vacuously order-preserving.
+    deterministic.  A witness maps E(sigma) into E(pi) injectively, so it
+    is onto exactly when the two sets have one size, which is checked once,
+    before the search.  An empty inversion set is vacuously
+    order-preserving: the identity, the first candidate, is its witness.
     Practical for n <= 7.
     """
     if sigma.n != pi.n:
@@ -64,10 +67,8 @@ def equivalent_bruteforce(
     n = sigma.n
     source = [(i - 1, j - 1) for i, j in inversion_set(sigma).sorted_pairs()]
     target = {(i - 1, j - 1) for i, j in inversion_set(pi).pairs}
-    if not source:
-        if target:
-            return None
-        return Permutation(tuple(range(1, n + 1))), OrientationClass.ALL_PRESERVING
+    if len(source) != len(target):
+        return None
     for rho in itertools.permutations(range(n)):
         direction = 0  # +1 preserving, -1 reversing
         for i, j in source:
@@ -81,13 +82,12 @@ def equivalent_bruteforce(
                     break
                 direction = -1
         else:
-            if len(source) == len(target):
-                kind = (
-                    OrientationClass.ALL_PRESERVING
-                    if direction > 0
-                    else OrientationClass.ALL_REVERSING
-                )
-                return Permutation(tuple(v + 1 for v in rho)), kind
+            kind = (
+                OrientationClass.ALL_PRESERVING
+                if direction >= 0
+                else OrientationClass.ALL_REVERSING
+            )
+            return Permutation(tuple(v + 1 for v in rho)), kind
     return None
 
 

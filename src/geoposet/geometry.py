@@ -5,8 +5,9 @@ A realization places the two apexes a and b and one spoke vertex per label
 exact orientation predicates, so the combinatorial statements the library
 is built on are checked with no floating-point slack.
 
-Each public call computes one table of orientation signs: the side of the
-line ab that each spoke s_i lies on, and for each apex the sign of
+Each drawing has one table of orientation signs, computed on first use
+and kept on the ``Realization``, not one per call: the side of the line ab
+that each spoke s_i lies on, and for each apex the sign of
 orient(apex, s_i, s_j) for every pair of spokes.  Every sign is that of an
 integer cross product: each vector out of b or an apex is cleared of
 denominators by a positive factor of its own, which keeps the sign, so no
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Iterable
 
 from .perms import Pair, PairSet, Permutation
@@ -53,6 +54,10 @@ class Realization:
     a: Point
     b: Point
     spokes: tuple[Point, ...]
+    # ``_signs`` of this drawing, computed on first use and kept; readers
+    # share its lists and never change them.  Not a field, so == and hash
+    # ignore it; a GeneralPositionError is raised again on every use.
+    _sign_table = cached_property(lambda self: _signs(self))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _as_point(self.a))
@@ -200,7 +205,7 @@ def validate_general_position(r: Realization) -> None:
     spokes alone never affect K_{2,n} edges (spokes are never adjacent), so
     they are not rejected.
     """
-    _signs(r)
+    r._sign_table
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +250,7 @@ def crossing_pairs(r: Realization) -> list[Pair]:
     comes before s_j around b and after it around a.  The zero diagonal
     never matches a side, so i = j drops out.
     """
-    side, at_b, at_a = _signs(r)
+    side, at_b, at_a = r._sign_table
     return [
         (i + 1, j + 1)
         for i in range(r.n)
@@ -289,7 +294,7 @@ def recover_with_relabeling(
     On side s of ab, s_i comes before s_j around b when at_b[i][j] == s and
     around a when at_a[i][j] == -s (the angle at a turns the other way).
     """
-    side, at_b, at_a = _signs(r)
+    side, at_b, at_a = r._sign_table
     first = 1 if positive_side_first else -1
     relabel: dict[int, int] = {}
     word: list[int] = []

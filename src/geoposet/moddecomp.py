@@ -12,6 +12,11 @@ whose internal nodes fall into three kinds:
 * prime node: both are connected (split into maximal proper modules, which
   are then pairwise disjoint).
 
+One seeded closure, ``_module_closure``, is the only splitter test: it
+absorbs every vertex that sees part but not all of a seed set.
+``is_module`` asks whether a set is its own closure, and a prime node's
+children are unions of the proper closures of vertex pairs.
+
 The number of transitive orientations of a transitively orientable graph is
 the product of k! over degenerate 1-nodes with k children and 2 per prime
 node.  ``count_transitive_orientations`` and
@@ -102,32 +107,25 @@ class MDTree:
 
 
 def is_module(g: Graph, vertices: frozenset[int] | set[int]) -> bool:
-    """Outside vertices must see all of the set or none of it."""
+    """Outside vertices must see all of the set or none of it: the set is
+    its own module closure (``_module_closure``) in the whole graph."""
     m = set(vertices)
     if not m:
         raise ValueError("modules are nonempty")
     if not m <= set(range(1, g.n + 1)):
         raise ValueError("module contains out-of-range vertices")
-    adjacency = g.adjacency_masks()
-    mask = 0
-    for v in m:
-        mask |= 1 << (v - 1)
-    for w in range(g.n):
-        if mask >> w & 1:
-            continue
-        seen = adjacency[w] & mask
-        if seen and seen != mask:
-            return False
-    return True
+    mask = sum(1 << (v - 1) for v in m)
+    return _module_closure(mask, (1 << g.n) - 1, g.adjacency_masks()) == mask
 
 
-def _module_closure(u: int, v: int, mset: int, adjacency: list[int]) -> int:
-    """Smallest module of the induced subgraph on mset containing u and v.
+def _module_closure(s: int, mset: int, adjacency: list[int]) -> int:
+    """Smallest module of the induced subgraph on mset containing the seed s.
 
     Any vertex adjacent to part but not all of the current set belongs to
     every module containing it, so splitters are absorbed until none exist.
+    This is the module's one splitter test: ``is_module`` asks whether a set
+    is its own closure, and ``_prime_children`` closes pairs.
     """
-    s = (1 << u) | (1 << v)
     while True:
         grew = False
         for w in bits(mset & ~s):
@@ -154,7 +152,7 @@ def _prime_children(mset: int, adjacency: list[int]) -> list[int]:
         child = 1 << v
         for w in bits(unassigned):
             if not child >> w & 1:
-                closure = _module_closure(v, w, mset, adjacency)
+                closure = _module_closure(1 << v | 1 << w, mset, adjacency)
                 if closure != mset:
                     child |= closure
         assert child != mset, "maximal proper modules must stay proper under a prime node"
@@ -189,9 +187,8 @@ def decompose(g: Graph) -> MDTree:
 
 def quotient_graph(g: Graph, node: MDNode) -> Graph:
     """The graph on the children of a node; representatives decide adjacency."""
-    children = sorted(node.children, key=lambda c: min(c.vertices))
-    reps = [min(c.vertices) for c in children]
-    k = len(children)
+    reps = sorted(min(c.vertices) for c in node.children)
+    k = len(reps)
     edges = set()
     for a in range(k):
         for b in range(a + 1, k):

@@ -9,6 +9,7 @@ its complement are transitively closed, and the permutation is then unique.
 Internally an inversion set is the out- and in-masks of the permutation
 digraph.  ``word_masks`` and ``word_from_masks`` are the one round trip
 between words and masks, and the only check that masks belong to a word;
+``inversion_set`` reads its pairs off ``word_masks`` as well;
 ``is_inversion_set`` keeps the closure conditions as an independent oracle.
 
 Permutations also act on pair sets: rho sends (i, j) to the sorted pair on
@@ -199,17 +200,15 @@ class PairSet:
 
 
 def inversion_set(p: Permutation) -> PairSet:
-    """All pairs (i, j), i < j, with i appearing after j in the word.
+    """All pairs (i, j), i < j, with i appearing after j in the word, read
+    off the out-masks of ``word_masks``.
 
     >>> sorted(inversion_set(parse("2431")).pairs)
     [(1, 2), (1, 3), (1, 4), (3, 4)]
     """
-    pos = p.positions()
+    out, _ = word_masks(p.word)
     pairs = frozenset(
-        (i, j)
-        for i in range(1, p.n)
-        for j in range(i + 1, p.n + 1)
-        if pos[i - 1] > pos[j - 1]
+        (i + 1, j + 1) for i, o in enumerate(out) for j in range(i + 1, p.n) if o >> j & 1
     )
     return PairSet(p.n, pairs)
 

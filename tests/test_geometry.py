@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoposet import geometry
 from geoposet.geoequiv import class_key
 from geoposet.geometry import (
     GeneralPositionError,
@@ -268,6 +269,27 @@ def test_signs_match_orient_on_100_digit_coprime_denominators():
         [[sign(orient(r.b, s, t)) for t in r.spokes] for s in r.spokes],
         [[sign(orient(r.a, s, t)) for t in r.spokes] for s in r.spokes],
     )
+
+
+def test_one_sign_table_per_drawing(monkeypatch):
+    # _signs makes two _vectors calls (out of b, out of a) per table
+    calls = []
+    vectors = geometry._vectors
+
+    def counted(*args):
+        calls.append(args)
+        return vectors(*args)
+
+    monkeypatch.setattr(geometry, "_vectors", counted)
+    r = build_realization(parse("35124"))
+    crossing_pairs(r)
+    crossings(r)
+    recover_permutation(r)
+    validate_general_position(r)
+    assert len(calls) == 2
+    # the kept table is no field: equality and hash read the points only
+    fresh = build_realization(parse("35124"))
+    assert r == fresh and hash(r) == hash(fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Each command below is pinned by the sha256 of its stdout and, for
 ``poset``, of the DOT and JSON files it writes.  A change to any byte of
 these outputs fails here; re-pin only for an intended change of output.
-The n = 8 commands run only with GEOPOSET_ACCEPT_LONG=1.  ``verify 5`` is
-pinned line by line in test_cli.py.
+The n = 8 and n = 9 commands run only with GEOPOSET_ACCEPT_LONG=1.
+``verify 5`` is pinned line by line in test_cli.py.
 """
 
 import hashlib
@@ -43,6 +43,9 @@ GOLDEN = {
     "enumerate 8 --format table --allow-long": "23d2f5039d9836fdd0fb383badb7f4f8c60bd06a17d65618abb36c61ca05294d",
     "enumerate 8 --format json --allow-long": "8809ae32286bb6e1b7425af2ef4760b55c0a01c0fd9532f527b4198aa373e951",
     "enumerate 8 --format csv --allow-long": "7eae2d6fa5eef21b9d8b5fcf5c5796942af5cdf21388d80b33d9c653b98d3312",
+    "enumerate 9 --format table --allow-long": "1e69c2d9d615ab3ddde318a0483d243a52c92068fe83dbfa7375472b1e7886e3",
+    "enumerate 9 --format json --allow-long": "495ae788ebb50a74082b96591b094e7b30754e075e86325727cdf2a0ac11b183",
+    "enumerate 9 --format csv --allow-long": "cd75a981785efceff08a2ff33d587fbb24f2f94501c3fff231c34fec881989a5",
     "poset 5 --dot h.dot --json h.json": (
         "0abe13562edd0c32af1482a470b68fdd5abfe261ec72f43f2cc8b60603fffa4c",
         "4b0dff08a38d63b1a728b1f54360c9b7f2328daea4856bab7b540bc1b1b3ebd1",
@@ -71,7 +74,7 @@ GOLDEN = {
 
 LONG = pytest.mark.skipif(
     os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
-    reason="n = 8 runs take a few seconds; set GEOPOSET_ACCEPT_LONG=1",
+    reason="n = 8 and 9 runs take a few seconds; set GEOPOSET_ACCEPT_LONG=1",
 )
 
 

@@ -92,6 +92,24 @@ def test_is_module_rejects_empty():
         is_module(G_TWO_EDGES, set())
 
 
+def test_is_module_follows_its_definition_on_every_graph_up_to_5_vertices():
+    # the definition, stated here: every vertex outside the set is adjacent
+    # to all of it or to none of it
+    for n in range(1, 6):
+        slots = list(itertools.combinations(range(1, n + 1), 2))
+        for chosen in itertools.product((False, True), repeat=len(slots)):
+            edges = frozenset(e for e, keep in zip(slots, chosen) if keep)
+            g = Graph(n, edges)
+            for size in range(1, n + 1):
+                for sub in itertools.combinations(range(1, n + 1), size):
+                    expected = all(
+                        len({(min(v, w), max(v, w)) in edges for w in sub}) == 1
+                        for v in range(1, n + 1)
+                        if v not in sub
+                    )
+                    assert is_module(g, set(sub)) == expected, (n, sorted(edges), sub)
+
+
 # ---------------------------------------------------------------------------
 # decomposition shapes
 
@@ -158,7 +176,7 @@ def closure_growth_children(mset, adjacency):
     verts = list(bits(mset))
     for a in range(len(verts)):
         for b in range(a + 1, len(verts)):
-            c = _module_closure(verts[a], verts[b], mset, adjacency)
+            c = _module_closure(1 << verts[a] | 1 << verts[b], mset, adjacency)
             if c != mset:
                 closures.add(c)
     children = []
