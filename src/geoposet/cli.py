@@ -150,15 +150,16 @@ def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _format_table(table: ClassTable) -> str:
-    rows = table._rows()
-    widths = [max(len(r[k]) for r in rows) for k in range(4)]
-    lines = []
-    for r in rows:
-        head = "  ".join(r[k].ljust(widths[k]) for k in range(4))
-        lines.append(f"{head}  {r[4]}")
-    lines.append(f"total classes: {table.count}")
-    return "\n".join(lines)
+def _write_table(table: ClassTable, fh: TextIO) -> None:
+    """The text table, written line by line after a pass for the widths of
+    the first four columns, which ``ClassTable._heads`` gives without the
+    members."""
+    widths = [0] * 4
+    for head in table._heads():
+        widths = list(map(max, widths, map(len, head)))
+    line = "  ".join(f"{{:<{w}}}" for w in widths) + "  {}\n"
+    fh.writelines(itertools.starmap(line.format, table._rows()))
+    fh.write(f"total classes: {table.count}\n")
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -167,9 +168,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         sys.stdout.writelines(table._json_pieces())
         sys.stdout.write("\n")
     elif args.format == "csv":
-        print(table.to_csv(), end="")
+        table._write_csv(sys.stdout)
     else:
-        print(_format_table(table))
+        _write_table(table, sys.stdout)
     return 0
 
 

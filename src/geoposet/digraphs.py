@@ -209,6 +209,7 @@ def _min_label_chunks(n: int, out: list[int], inn: list[int]) -> list[int]:
             placed_mask &= ~(1 << v)
 
     extend(0)
+    del extend  # the closure refers to itself: break the cycle
     assert len(best) == n
     return best
 
@@ -317,14 +318,23 @@ def mask_embedding(small: MaskDigraph, big: MaskDigraph) -> Optional[list[int]]:
     """The spanning embedding search: a vertex bijection (image of v at
     index v) mapping every arc of small onto an arc of big, or None.
 
-    Backtracking over the vertices of small in ``small.order``; each tries,
-    in ascending order, the free vertices of big that have arcs to and from
-    the images of its already placed neighbours (one mask intersection per
-    neighbour), skipping a target with less out- or in-degree than v.  The
-    degree matching test rejects before any search.
+    The degree matching test rejects before any search (``degrees_dominate``);
+    only a pair that passes it reaches ``_embedding_search``, so a rejected
+    pair builds no search state at all.  The search leaves no reference
+    cycle behind either: reference counting frees it on return, and the
+    cyclic collector never sees it.
     """
     if not degrees_dominate(small, big):
         return None
+    return _embedding_search(small, big)
+
+
+def _embedding_search(small: MaskDigraph, big: MaskDigraph) -> Optional[list[int]]:
+    """Backtracking over the vertices of small in ``small.order``; each tries,
+    in ascending order, the free vertices of big that have arcs to and from
+    the images of its already placed neighbours (one mask intersection per
+    neighbour), skipping a target with less out- or in-degree than v.
+    """
     n = len(small.out)
     s_out, s_in, s_odeg, s_ideg, order = small.out, small.inn, small.odeg, small.ideg, small.order
     b_out, b_in, b_odeg, b_ideg = big.out, big.inn, big.odeg, big.ideg
@@ -356,7 +366,9 @@ def mask_embedding(small: MaskDigraph, big: MaskDigraph) -> Optional[list[int]]:
                     return True
         return False
 
-    return mapping if place(0, (1 << n) - 1, 0) else None
+    found = place(0, (1 << n) - 1, 0)
+    del place  # the closure refers to itself: break the cycle
+    return mapping if found else None
 
 
 def spanning_embeds(dsmall: Digraph, dbig: Digraph) -> Optional[dict[int, int]]:
@@ -440,6 +452,7 @@ def enumerate_transitive_orientations(g: Graph) -> list[Digraph]:
                 inn[v] &= ~(1 << u)
 
     assign(0)
+    del assign  # the closure refers to itself: break the cycle
     return results
 
 

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .digraphs import KEY_MAX_N, CanonicalKey
 # Not called here; perfbench/spans.py wraps this name on this module.
@@ -491,17 +491,27 @@ class ClassTable:
             sep = ",\n    "
         yield "\n  ]\n}" if self.classes else "]\n}"
 
-    def _rows(self) -> list[tuple[str, ...]]:
+    def _heads(self) -> Iterator[tuple[str, ...]]:
+        """The first four columns of ``_rows``, without the members."""
+        yield ("label", "inversions", "size", "representative")
+        for c in self.classes:
+            yield (c.label, str(c.inversions), str(c.size), str(c.representative))
+
+    def _rows(self) -> Iterator[tuple[str, ...]]:
         """The header, then one row per class: the columns of the CSV and of
-        the CLI's text table."""
-        return [("label", "inversions", "size", "representative", "members")] + [
-            (c.label, str(c.inversions), str(c.size), str(c.representative), " ".join(map(str, c.members)))
-            for c in self.classes
-        ]
+        the CLI's text table, made one at a time."""
+        heads = self._heads()
+        yield (*next(heads), "members")
+        for head, c in zip(heads, self.classes):
+            yield (*head, " ".join(map(str, c.members)))
+
+    def _write_csv(self, fh: TextIO) -> None:
+        """Write the CSV to ``fh`` row by row."""
+        csv.writer(fh, lineterminator="\n").writerows(self._rows())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(self._rows())
+        self._write_csv(buf)
         return buf.getvalue()
 
 

@@ -82,14 +82,7 @@ class MDTree:
         return any(node.kind is NodeKind.PRIME for node in self.internal_nodes())
 
     def to_json_obj(self) -> dict:
-        def encode(node: MDNode) -> dict:
-            return {
-                "kind": node.kind.value,
-                "vertices": sorted(node.vertices),
-                "children": [encode(c) for c in node.children],
-            }
-
-        return encode(self.root)
+        return _node_json(self.root)
 
     def to_dot(self) -> str:
         lines = ["digraph mdtree {", "  node [shape=box];"]
@@ -104,6 +97,14 @@ class MDTree:
                 lines.append(f"  {ids[id(node)]} -> {ids[id(child)]};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _node_json(node: MDNode) -> dict:
+    return {
+        "kind": node.kind.value,
+        "vertices": sorted(node.vertices),
+        "children": [_node_json(c) for c in node.children],
+    }
 
 
 def is_module(g: Graph, vertices: frozenset[int] | set[int]) -> bool:
@@ -182,7 +183,9 @@ def decompose(g: Graph) -> MDTree:
         parts = sorted(_prime_children(mset, adjacency))
         return MDNode(vertices, NodeKind.PRIME, tuple(build(p) for p in parts))
 
-    return MDTree(g, build(full))
+    root = build(full)
+    del build  # the closure refers to itself: break the cycle
+    return MDTree(g, root)
 
 
 def quotient_graph(g: Graph, node: MDNode) -> Graph:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -238,6 +239,23 @@ def test_mask_embedding_matches_bruteforce_on_s5_classes():
                     f = {v + 1: w + 1 for v, w in enumerate(mapping)}
                     check_embedding(from_perm(p), from_perm(target), f)
     assert filtered > 0
+
+
+def test_mask_embedding_mappings_are_pinned_on_s6_classes():
+    # the search's exact results, not only hit or miss: every ordered pair
+    # of n = 6 class digraphs, each target also reversed, one line per call
+    shapes = [
+        MaskDigraph.from_masks(*word_masks(c.representative.word))
+        for c in enumerate_classes(6).classes
+    ]
+    digest = hashlib.sha256()
+    for small in shapes:
+        for big in shapes:
+            for target in (big, big.flipped()):
+                digest.update(f"{mask_embedding(small, target)}\n".encode())
+    assert digest.hexdigest() == (
+        "980dc38f13730e439ab2719cbb8507ef5efaef460657db79ccda1b903bc53de1"
+    )
 
 
 def brute_degree_matching(small: MaskDigraph, big: MaskDigraph) -> bool:
