@@ -6,9 +6,10 @@ key walk (``moddecomp.cograph_class_size``): a prime node in the word's
 substitution tree means no cograph.  No command decomposes a graph except
 ``verify``.
 
-Exit codes: 0 success, 1 verification failure or a stdout closed before
-the output was written (nothing is printed on stderr then), 2 usage error
-or an output path that cannot be written.  Every command computes its
+Exit codes: 0 success, 1 verification failure or a stdout that could not
+take the output: a closed pipe prints nothing on stderr, any other write
+error (a full disk, as ``>/dev/full`` gives) one ``error:`` line; 2 usage
+error or an output path that cannot be written.  Every command computes its
 class table, so output for identical inputs is byte-identical.
 """
 
@@ -313,11 +314,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # Python's recipe: point stdout at devnull so the flush at shutdown
-        # stays silent.
+    except OSError as exc:
+        # Most likely a write to stdout failed.  A closed pipe is the
+        # reader's choice and prints nothing; any other error gets one line.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        # Python's recipe for a closed pipe: point stdout at devnull so the
+        # flush at shutdown stays silent.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -36,12 +36,13 @@ from .graphs import bits
 from .perms import (
     OrientationClass,
     Permutation,
+    format_word,
     inverse,
     inverse_word,
-    inversion_count,
     inversion_set,
     reverse,
     word_from_masks,
+    word_inversion_count,
     word_masks,
 )
 # Not called here; perfbench/spans.py wraps these two names on this module.
@@ -377,12 +378,18 @@ def class_members(p: Permutation) -> tuple[Permutation, ...]:
 
 @dataclass(frozen=True, slots=True)
 class GeoClass:
-    """One geo-equivalence class of S_n."""
+    """One geo-equivalence class of S_n.
+
+    The class keeps words, not ``Permutation``s: ``word`` is the
+    representative's (in a table, the least member's) and ``words`` the
+    members', in ascending order.  ``representative`` and ``members``
+    build the ``Permutation``s on demand.
+    """
 
     label: str
     inversions: int
-    representative: Permutation
-    members: tuple[Permutation, ...]
+    word: tuple[int, ...]
+    words: tuple[tuple[int, ...], ...]
     key: CanonicalKey
     # D(representative) is isomorphic to its own arc reversal.  False only
     # means "not known" on a class built by hand: ``poset`` then makes one
@@ -390,8 +397,16 @@ class GeoClass:
     self_related: bool = False
 
     @property
+    def representative(self) -> Permutation:
+        return Permutation._unchecked(self.word)
+
+    @property
+    def members(self) -> tuple[Permutation, ...]:
+        return tuple(map(Permutation._unchecked, self.words))
+
+    @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -401,8 +416,8 @@ class ClassTable:
     Classes are sorted by (inversion count, lexicographically least member)
     and labeled "k.m" with m counting within inversion count k.  Published
     tables use the same shape but may number classes differently, so
-    comparisons go through member sets, never labels.  ``index`` maps the
-    word of every member to its class's index, and ``class_of`` reads it.
+    comparisons go through member sets, never labels.  ``index`` maps
+    every member word to its class's index, and ``class_of`` reads it.
     """
 
     n: int
@@ -419,7 +434,7 @@ class ClassTable:
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         """The index of the class of every member, keyed by its word."""
-        return {m.word: k for k, c in enumerate(self.classes) for m in c.members}
+        return {w: k for k, c in enumerate(self.classes) for w in c.words}
 
     def class_of(self, p: Permutation) -> GeoClass:
         try:
@@ -436,8 +451,8 @@ class ClassTable:
                 {
                     "label": c.label,
                     "inversions": c.inversions,
-                    "representative": str(c.representative),
-                    "members": [str(m) for m in c.members],
+                    "representative": format_word(c.word),
+                    "members": list(map(format_word, c.words)),
                 }
                 for c in self.classes
             ],
@@ -474,19 +489,20 @@ class ClassTable:
 
     def _json_pieces(self) -> Iterator[str]:
         """The text of ``to_json``: the head, one string per class, then
-        the tail.  The indent=2 layout is written here, and every label and
-        word is quoted by ``encode_basestring_ascii``, as ``json.dumps``
-        quotes it with its default ``ensure_ascii``; the generic encoder
-        would hold about 9 times the text in chunks."""
+        the tail.  The indent=2 layout is written here, and every label is
+        quoted by ``encode_basestring_ascii``, as ``json.dumps`` quotes it
+        with its default ``ensure_ascii``; a word's text is digits and
+        commas, which need no escape.  The generic encoder would hold about
+        9 times the text in chunks."""
         quote = json.encoder.encode_basestring_ascii
         yield f'{{\n  "schema_version": 1,\n  "n": {self.n},\n  "count": {self.count},\n  "classes": ['
         sep = "\n    "
         for c in self.classes:
-            members = ",\n        ".join([quote(str(m)) for m in c.members])
-            members = f"[\n        {members}\n      ]" if members else "[]"
+            members = '",\n        "'.join(map(format_word, c.words))
+            members = f'[\n        "{members}"\n      ]' if c.words else "[]"
             yield (
                 f'{sep}{{\n      "label": {quote(c.label)},\n      "inversions": {c.inversions},\n'
-                f'      "representative": {quote(str(c.representative))},\n      "members": {members}\n    }}'
+                f'      "representative": "{format_word(c.word)}",\n      "members": {members}\n    }}'
             )
             sep = ",\n    "
         yield "\n  ]\n}" if self.classes else "]\n}"
@@ -495,7 +511,7 @@ class ClassTable:
         """The first four columns of ``_rows``, without the members."""
         yield ("label", "inversions", "size", "representative")
         for c in self.classes:
-            yield (c.label, str(c.inversions), str(c.size), str(c.representative))
+            yield (c.label, str(c.inversions), str(c.size), format_word(c.word))
 
     def _rows(self) -> Iterator[tuple[str, ...]]:
         """The header, then one row per class: the columns of the CSV and of
@@ -503,7 +519,7 @@ class ClassTable:
         heads = self._heads()
         yield (*next(heads), "members")
         for head, c in zip(heads, self.classes):
-            yield (*head, " ".join(map(str, c.members)))
+            yield (*head, " ".join(map(format_word, c.words)))
 
     def _write_csv(self, fh: TextIO) -> None:
         """Write the CSV to ``fh`` row by row."""
@@ -526,9 +542,12 @@ def enumerate_classes(n: int) -> ClassTable:
     n = 8 that is 10 558 walks for 40 320 words.  The class is
     self-related (D(w) isomorphic to its reversal) when the two are equal,
     which any orbit of the class shows alike.  The walks share one memo,
-    of their blocks' codes and their prime quotients' recipes.  Refuses
-    any n that is not an int in 1..9: the scan is exact and the factorial
-    growth makes larger n a different project.
+    of their blocks' codes and their prime quotients' recipes.  The words
+    themselves are grouped and kept as the members: no ``Permutation`` is
+    built.  The dict over all n! words goes before the groups are sorted,
+    and the groups before the classes are built, so neither is held with
+    the table.  Refuses any n that is not an int in 1..9: the scan is
+    exact and the factorial growth makes larger n a different project.
     """
     if type(n) is not int or not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(
@@ -551,20 +570,21 @@ def enumerate_classes(n: int) -> ClassTable:
             key_of[tuple(map(flip, reversed(w)))] = key_of[tuple(map(flip, reversed(inv)))] = ck
     del memo
 
-    groups: dict[CanonicalKey, list[Permutation]] = {}
-    member = Permutation._unchecked
+    groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
     for w, ck in key_of.items():
-        groups.setdefault(ck, []).append(member(w))
+        groups.setdefault(ck, []).append(w)
+    del key_of
     # Sorted by (inversion count, least member) and labeled "k.m"; least
     # members are distinct, so the sort never compares past the word.
-    ordered = sorted((inversion_count(m[0]), m[0].word, tuple(m), ck) for ck, m in groups.items())
+    ordered = sorted(
+        (word_inversion_count(ws[0]), ws[0], tuple(ws), ck) for ck, ws in groups.items()
+    )
+    del groups
     classes = []
     for inv, run in itertools.groupby(ordered, key=lambda item: item[0]):
-        for within, (_, _, members, ck) in enumerate(run, start=1):
-            classes.append(
-                GeoClass(f"{inv}.{within}", inv, members[0], members, ck, ck in self_related)
-            )
-    assert sum(c.size for c in classes) == len(key_of)
+        for within, (_, least, words, ck) in enumerate(run, start=1):
+            classes.append(GeoClass(f"{inv}.{within}", inv, least, words, ck, ck in self_related))
+    assert sum(c.size for c in classes) == math.factorial(n)
     return ClassTable(n, tuple(classes))
 
 
@@ -619,7 +639,7 @@ def compare_with_reference(table: ClassTable, reference: dict) -> ReferenceCompa
     """
     if table.n != reference["n"]:
         raise ValueError("reference table is for a different n")
-    ours = {frozenset(str(m) for m in c.members): c for c in table.classes}
+    ours = {frozenset(map(format_word, c.words)): c for c in table.classes}
     dup = reference.get("known_issues", {}).get("duplicated_member", "")
     dup_home = ""
     if dup:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Pair = tuple[int, int]
-# Maps the bytes 0..9 to their ASCII digits, for ``Permutation.__str__``.
+# Maps the bytes 0..9 to their ASCII digits, for ``format_word``.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
@@ -74,9 +74,19 @@ class Permutation:
         return inverse_word(self.word)
 
     def __str__(self) -> str:
-        if self.n <= 9:
-            return bytes(self.word).translate(_DIGITS).decode()
-        return ",".join(map(str, self.word))
+        return format_word(self.word)
+
+
+def format_word(word: tuple[int, ...]) -> str:
+    """The text of a word: its digits for n <= 9, else its values joined by
+    commas, as ``parse`` reads them.
+
+    >>> format_word((2, 4, 3, 1))
+    '2431'
+    """
+    if len(word) <= 9:
+        return bytes(word).translate(_DIGITS).decode()
+    return ",".join(map(str, word))
 
 
 def identity(n: int) -> Permutation:
@@ -215,7 +225,12 @@ def inversion_set(p: Permutation) -> PairSet:
 
 def inversion_count(p: Permutation) -> int:
     """The number of pairs of positions whose values are out of order."""
-    return sum(itertools.starmap(operator.gt, itertools.combinations(p.word, 2)))
+    return word_inversion_count(p.word)
+
+
+def word_inversion_count(word: tuple[int, ...]) -> int:
+    """``inversion_count`` of the permutation with this word."""
+    return sum(itertools.starmap(operator.gt, itertools.combinations(word, 2)))
 
 
 def is_inversion_set(ps: PairSet) -> bool:

@@ -60,7 +60,7 @@ from typing import Iterator, Literal, Optional
 from .digraphs import MaskDigraph, mask_embedding
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
 from .graphs import bits
-from .perms import Permutation, inverse, inverse_word, word_masks
+from .perms import Permutation, format_word, inverse, inverse_word, word_masks
 # Not called here; perfbench/spans.py wraps these names on this module.
 from .digraphs import from_perm, spanning_embeds  # noqa: F401
 from .perms import inversion_set  # noqa: F401
@@ -70,9 +70,9 @@ from .perms import inversion_set  # noqa: F401
 COMPACT_JSON_MIN_N = 8
 
 
-def _shapes(p: Permutation) -> MaskDigraph:
-    """D(p) as a ``MaskDigraph``."""
-    return MaskDigraph.from_masks(*word_masks(p.word))
+def _shapes(word: tuple[int, ...]) -> MaskDigraph:
+    """D(w) of the word w as a ``MaskDigraph``."""
+    return MaskDigraph.from_masks(*word_masks(word))
 
 
 def _embeds(source: MaskDigraph, target: MaskDigraph, one_way: bool) -> bool:
@@ -95,15 +95,15 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
     incomparable, since a proper sub-digraph has strictly fewer arcs.
     Classes of different n raise ValueError.
     """
-    if c_sigma.representative.n != c_pi.representative.n:
+    if len(c_sigma.word) != len(c_pi.word):
         raise ValueError("precedence compares classes of the same n")
     if c_sigma.key == c_pi.key:
         return True
     if c_sigma.inversions >= c_pi.inversions:
         return False
     return _embeds(
-        _shapes(c_sigma.representative),
-        _shapes(c_pi.representative),
+        _shapes(c_sigma.word),
+        _shapes(c_pi.word),
         c_sigma.self_related or c_pi.self_related,
     )
 
@@ -270,9 +270,9 @@ def build_poset(source: "int | ClassTable") -> Poset:
             j = unknown.bit_length() - 1 if high else (unknown & -unknown).bit_length() - 1
             high = not high
             if shapes[j] is None:
-                shapes[j] = _shapes(classes[j].representative)
+                shapes[j] = _shapes(classes[j].word)
             if shapes[i] is None:
-                shapes[i] = _shapes(classes[i].representative)
+                shapes[i] = _shapes(classes[i].word)
             if _embeds(shapes[i], shapes[j], related[i] or related[j]):
                 row |= floor[j]
                 found.append(j)
@@ -325,8 +325,7 @@ def _weak_covers(table: ClassTable) -> tuple[list[list[int]], list[list[int]]]:
     below: list[list[int]] = [[] for _ in range(table.count)]
     for i, c in enumerate(table.classes):
         reached = set()
-        for m in c.members:
-            w = m.word
+        for w in c.words:
             if w[0] + w[-1] > top:
                 continue
             s = list(w)
@@ -412,7 +411,7 @@ def hasse(poset: Poset) -> HasseDiagram:
     """Transitive reduction with deterministic edge order."""
     return HasseDiagram(
         labels=poset.table.labels,
-        representatives=tuple(str(c.representative) for c in poset.table.classes),
+        representatives=tuple(format_word(c.word) for c in poset.table.classes),
         edges=poset.covers,
     )
 
@@ -469,9 +468,9 @@ def _left_cover_steps(
     (class index of m, class index of w, m, w)."""
     index = table.index
     for i, c in enumerate(table.classes):
-        for m in c.members:
-            for w in _left_steps(m.word):
-                yield i, index[w], m.word, w
+        for m in c.words:
+            for w in _left_steps(m):
+                yield i, index[w], m, w
 
 
 def _inversions_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

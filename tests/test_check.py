@@ -16,6 +16,16 @@ def test_steps_are_the_three_standing_checks():
     assert (check.ROOT / check.STEPS[2][1][1]).is_file()
 
 
+def test_the_long_step_runs_every_test_file_that_reads_the_long_flag():
+    (flag,) = check.STEPS[1][2]
+    reads_flag = {
+        f"tests/{path.name}"
+        for path in (check.ROOT / "tests").glob("*.py")
+        if f'environ.get("{flag}")' in path.read_text()
+    }
+    assert reads_flag and reads_flag <= set(check.LONG_TESTS)
+
+
 def test_one_line_per_step_and_a_failing_exit(monkeypatch, capsys):
     monkeypatch.setattr(
         check,

@@ -1,3 +1,5 @@
+import errno
+import io
 import itertools
 import json
 import multiprocessing
@@ -296,6 +298,62 @@ def test_closed_stdout_exits_1_with_nothing_on_stderr():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+class FullStdout(io.TextIOBase):
+    """A stdout on a full disk: every write raises ENOSPC.  ``fileno`` is a
+    scratch file's descriptor, which ``main`` may point at devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+WRITING_COMMANDS = [
+    ["enumerate", "5"],
+    ["enumerate", "5", "--format", "csv"],
+    ["enumerate", "5", "--format", "json"],
+    ["classify", "2431"],
+    ["poset", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=" ".join)
+def test_a_stdout_write_error_is_one_error_line_and_exit_1(argv, tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", FullStdout(fd))
+        code = main(argv)
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", WRITING_COMMANDS[2:], ids=" ".join)
+def test_a_full_device_on_stdout_leaves_no_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "geoposet.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    assert done.returncode == 1
+    assert done.stderr.decode().splitlines() == [
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    ]
 
 
 def test_concurrent_saves_all_succeed(isolated_cache):

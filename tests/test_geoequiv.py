@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -248,6 +249,32 @@ def test_enumerate_partitions_and_labels_unique():
         )
         assert all(class_key(m) == c.key for m in c.members)
         assert c.representative == min(c.members)
+
+
+def test_members_are_untracked_word_tuples():
+    """A table keeps its members as plain tuples of ints, which the cyclic
+    collector untracks, not as ``Permutation`` objects it keeps scanning."""
+    table = enumerate_classes(7)
+    gc.collect()
+    for c in table.classes:
+        assert type(c.words) is tuple and not gc.is_tracked(c.words), c.label
+        assert all(type(w) is tuple and not gc.is_tracked(w) for w in c.words), c.label
+        assert c.word is c.words[0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_members_and_representative_are_the_sorted_permutations(n):
+    by_key = {}
+    for p in all_permutations(n):
+        by_key.setdefault(class_key(p), []).append(p)
+    table = enumerate_classes(n)
+    assert table.count == len(by_key)
+    for c in table.classes:
+        members = c.members
+        assert all(type(m) is Permutation for m in members + (c.representative,))
+        assert members == tuple(by_key[c.key])  # lexicographic, as S_n is listed
+        assert c.representative == members[0]
+        assert tuple(m.word for m in members) == c.words
 
 
 def test_enumerate_s5_profile_by_inversions():
@@ -605,7 +632,7 @@ def test_table_json_round_trip():
 
 
 def _hand_built_tables():
-    one = Permutation((1, 2, 3))
+    one = (1, 2, 3)
     yield "no classes", ClassTable(3, ())
     yield "a class with no members", ClassTable(3, (GeoClass("0.1", 0, one, (), b""),))
     for label in ['"', "\\", "é", "a\nb"]:

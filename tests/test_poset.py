@@ -81,8 +81,8 @@ def test_precedes_independent_of_representative():
                 stand_in = GeoClass(
                     label=c_low.label,
                     inversions=c_low.inversions,
-                    representative=alt,
-                    members=c_low.members,
+                    word=alt.word,
+                    words=c_low.words,
                     key=c_low.key,
                 )
                 assert precedes(stand_in, c_high) == expected
@@ -333,7 +333,7 @@ def both_shapes(table):
     """D(p) for every class representative p.  The oracles pass
     ``one_way=False`` to ``_embeds``, so they search D(p) reversed too,
     whether or not a class is self-related."""
-    return [_shapes(c.representative) for c in table.classes]
+    return [_shapes(c.word) for c in table.classes]
 
 
 def ascending_scan(table):
@@ -431,9 +431,9 @@ def test_shapes_are_built_on_first_use_only(monkeypatch, n, built):
     words = []
     shapes = _shapes
 
-    def counted(p):
-        words.append(p.word)
-        return shapes(p)
+    def counted(word):
+        words.append(word)
+        return shapes(word)
 
     monkeypatch.setattr("geoposet.poset._shapes", counted)
     assert build_poset(table) == cached_poset(n)
