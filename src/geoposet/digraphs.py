@@ -31,6 +31,7 @@ from .perms import perm_from_inversion_set  # noqa: F401
 
 CanonicalKey = bytes
 KEY_MAX_N = 16  # the largest digraph, or word, that gets a canonical key
+KEY_MAX_NODES = 100_000  # the most vertex placements one canonical key may try
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,9 @@ def _min_label_chunks(n: int, out: list[int], inn: list[int]) -> list[int]:
     second, and so on.  Placing the vertex at position k determines 2k new
     adjacency bits against the already placed vertices; those bits form
     chunk k, and the search keeps the lexicographically least chunk stream,
-    pruning any branch that exceeds the best known prefix.
+    pruning any branch that exceeds the best known prefix.  When refinement
+    splits nothing the search is exponential, so it raises ValueError past
+    ``KEY_MAX_NODES`` placements.
     """
     colors = _refine_colors(n, out, inn)
     prev_twin = _twin_predecessors(n, out, inn)
@@ -179,9 +182,10 @@ def _min_label_chunks(n: int, out: list[int], inn: list[int]) -> list[int]:
     best: list[int] = []
     placed: list[int] = []
     placed_mask = 0
+    budget = KEY_MAX_NODES
 
     def extend(depth: int) -> None:
-        nonlocal placed_mask
+        nonlocal placed_mask, budget
         if depth == n:
             return
         for v in cell_list[cell_at_depth[depth]]:
@@ -202,14 +206,19 @@ def _min_label_chunks(n: int, out: list[int], inn: list[int]) -> list[int]:
                     best.append(chunk)
             else:
                 best.append(chunk)
+            budget -= 1
+            if budget < 0:
+                raise ValueError(f"canonical key search passed {KEY_MAX_NODES} placements")
             placed.append(v)
             placed_mask |= 1 << v
             extend(depth + 1)
             placed.pop()
             placed_mask &= ~(1 << v)
 
-    extend(0)
-    del extend  # the closure refers to itself: break the cycle
+    try:
+        extend(0)
+    finally:
+        del extend  # the closure refers to itself: break the cycle
     assert len(best) == n
     return best
 
@@ -227,7 +236,9 @@ def canonical_key(d: Digraph) -> CanonicalKey:
     """A byte string equal for two digraphs exactly when they are isomorphic.
 
     The leading byte is the vertex count, so digraphs of different sizes
-    never collide.  Intended for n <= ``KEY_MAX_N``.
+    never collide.  Intended for n <= ``KEY_MAX_N``.  Raises ValueError when
+    the search passes ``KEY_MAX_NODES`` placements, as on a regular
+    tournament on 13 vertices, which refinement does not split.
     """
     if d.n > KEY_MAX_N:
         raise ValueError(f"canonical keys are supported for n <= {KEY_MAX_N}")

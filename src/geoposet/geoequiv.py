@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .digraphs import KEY_MAX_N, CanonicalKey
 # Not called here; perfbench/spans.py wraps this name on this module.
@@ -116,12 +116,13 @@ def _nibbles(word: Iterable[int]) -> bytes:
     return bytes.fromhex(digits + "0" * (len(digits) & 1))
 
 
-def _block_codes(w: tuple[int, ...], a: int, b: int, least: int, memo: dict) -> tuple[bytes, bytes]:
+def _block_codes(w: Sequence[int], a: int, b: int, least: int, memo: dict) -> tuple[bytes, bytes]:
     """The code pair of the block w[a:b] whose least value is ``least``,
-    normalised to the values 1..b−a, through ``memo``."""
+    normalised to the values 1..b−a, through ``memo``.  The block's key is
+    a tuple whether w is bytes or a tuple."""
     if b - a == 1:
         return _LEAVES
-    block = tuple([v - least + 1 for v in w[a:b]]) if least > 1 else w[a:b]
+    block = tuple([v - least + 1 for v in w[a:b]]) if least > 1 else tuple(w[a:b])
     pair = memo.get(block)
     if pair is None:
         pair = memo[block] = _tree_codes(block, memo)
@@ -167,15 +168,15 @@ def _quotient(by_value: list[int]) -> tuple[tuple, tuple]:
     )
 
 
-def _tree_codes(w: tuple[int, ...], memo: dict) -> tuple[bytes, bytes]:
+def _tree_codes(w: Sequence[int], memo: dict) -> tuple[bytes, bytes]:
     """The codes of D(w) and of D(w⁻¹) for a word w of the values 1..m,
-    from one walk of w's substitution tree: equal codes hold exactly for
-    isomorphic digraphs.  ``memo`` holds all the walks learn: it maps
-    normalised blocks of w, as tuples, to their code pairs (w itself is not
-    stored), and each prime quotient σ met, as ``bytes(σ⁻¹)`` from 0, to its
-    ``_quotient`` recipe.  A tuple key never equals a bytes key.  Every
-    prime quotient is a simple permutation, and S₈ has only 3 318 of them.
-    See ``_word_key``."""
+    bytes or a tuple, from one walk of w's substitution tree: equal codes
+    hold exactly for isomorphic digraphs.  ``memo`` holds all the walks
+    learn: it maps normalised blocks of w, as tuples, to their code pairs
+    (w itself is not stored), and each prime quotient σ met, as
+    ``bytes(σ⁻¹)`` from 0, to its ``_quotient`` recipe.  A tuple key never
+    equals a bytes key.  Every prime quotient is a simple permutation, and
+    S₈ has only 3 318 of them.  See ``_word_key``."""
     m = len(w)
     if m == 1:
         return _LEAVES
@@ -380,16 +381,17 @@ def class_members(p: Permutation) -> tuple[Permutation, ...]:
 class GeoClass:
     """One geo-equivalence class of S_n.
 
-    The class keeps words, not ``Permutation``s: ``word`` is the
-    representative's (in a table, the least member's) and ``words`` the
-    members', in ascending order.  ``representative`` and ``members``
-    build the ``Permutation``s on demand.
+    The class keeps words, not ``Permutation``s, each as ``bytes``, one
+    byte per value: ``word`` is the representative's (in a table, the least
+    member's) and ``words`` the members', in ascending order.
+    ``representative`` and ``members`` build the ``Permutation``s on
+    demand, through ``tuple(w)``.
     """
 
     label: str
     inversions: int
-    word: tuple[int, ...]
-    words: tuple[tuple[int, ...], ...]
+    word: bytes
+    words: tuple[bytes, ...]
     key: CanonicalKey
     # D(representative) is isomorphic to its own arc reversal.  False only
     # means "not known" on a class built by hand: ``poset`` then makes one
@@ -398,11 +400,11 @@ class GeoClass:
 
     @property
     def representative(self) -> Permutation:
-        return Permutation._unchecked(self.word)
+        return Permutation._unchecked(tuple(self.word))
 
     @property
     def members(self) -> tuple[Permutation, ...]:
-        return tuple(map(Permutation._unchecked, self.words))
+        return tuple(map(Permutation._unchecked, map(tuple, self.words)))
 
     @property
     def size(self) -> int:
@@ -432,14 +434,16 @@ class ClassTable:
         return tuple(c.label for c in self.classes)
 
     @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        """The index of the class of every member, keyed by its word."""
+    def index(self) -> dict[bytes, int]:
+        """The index of the class of every member, keyed by its word as
+        ``bytes``."""
         return {w: k for k, c in enumerate(self.classes) for w in c.words}
 
     def class_of(self, p: Permutation) -> GeoClass:
         try:
-            return self.classes[self.index[p.word]]
-        except KeyError:
+            # bytes() refuses a value past 255: no class holds that word
+            return self.classes[self.index[bytes(p.word)]]
+        except (KeyError, ValueError):
             raise KeyError(f"{p} is not a member of any class (n mismatch?)") from None
 
     def to_json_obj(self) -> dict:
@@ -543,10 +547,13 @@ def enumerate_classes(n: int) -> ClassTable:
     self-related (D(w) isomorphic to its reversal) when the two are equal,
     which any orbit of the class shows alike.  The walks share one memo,
     of their blocks' codes and their prime quotients' recipes.  The words
-    themselves are grouped and kept as the members: no ``Permutation`` is
-    built.  The dict over all n! words goes before the groups are sorted,
-    and the groups before the classes are built, so neither is held with
-    the table.  Refuses any n that is not an int in 1..9: the scan is
+    are ``bytes``, one byte per value, and each orbit image is one
+    ``bytes.translate``: w⁻¹ is the identity word translated by the table
+    that sends w's values to their positions, and rc(x) is x reversed with
+    every value v translated to n+1−v.  The words themselves are grouped
+    and kept as the members: no ``Permutation`` is built.  The dict over
+    all n! words goes before the groups are sorted, and the groups before
+    the classes are built, so neither is held with the table.  Refuses any n that is not an int in 1..9: the scan is
     exact and the factorial growth makes larger n a different project.
     """
     if type(n) is not int or not 1 <= n <= ENUMERATION_MAX_N:
@@ -555,22 +562,23 @@ def enumerate_classes(n: int) -> ClassTable:
         )
     # Lexicographic order, kept by the dict: the first word of each orbit
     # met is the one walked, and each group below is built in order.
-    key_of = dict.fromkeys(itertools.permutations(range(1, n + 1)))
-    flip = (0, *range(n, 0, -1)).__getitem__  # v ↦ n+1−v
+    ident = bytes(range(1, n + 1))
+    key_of = dict.fromkeys(map(bytes, itertools.permutations(ident)))
+    flip = bytes.maketrans(ident, ident[::-1])  # v ↦ n+1−v
     memo: dict = {}
     self_related = set()
     for w, ck in key_of.items():
         if ck is None:
-            inv = inverse_word(w)
+            inv = ident.translate(bytes.maketrans(w, ident))
             code, inverse_code = _tree_codes(w, memo)
             if code == inverse_code:
                 self_related.add(code)
             ck = min(code, inverse_code)
             key_of[w] = key_of[inv] = ck
-            key_of[tuple(map(flip, reversed(w)))] = key_of[tuple(map(flip, reversed(inv)))] = ck
+            key_of[w[::-1].translate(flip)] = key_of[inv[::-1].translate(flip)] = ck
     del memo
 
-    groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
+    groups: dict[CanonicalKey, list[bytes]] = {}
     for w, ck in key_of.items():
         groups.setdefault(ck, []).append(w)
     del key_of

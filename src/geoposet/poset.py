@@ -55,7 +55,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, gt
-from typing import Iterator, Literal, Optional
+from typing import Iterator, Literal, Optional, Sequence
 
 from .digraphs import MaskDigraph, mask_embedding
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
@@ -70,7 +70,7 @@ from .perms import inversion_set  # noqa: F401
 COMPACT_JSON_MIN_N = 8
 
 
-def _shapes(word: tuple[int, ...]) -> MaskDigraph:
+def _shapes(word: Sequence[int]) -> MaskDigraph:
     """D(w) of the word w as a ``MaskDigraph``."""
     return MaskDigraph.from_masks(*word_masks(word))
 
@@ -314,13 +314,17 @@ def _weak_covers(table: ClassTable) -> tuple[list[list[int]], list[list[int]]]:
     reach no class that rc(w) does not.  That skips 288 of 720, 2 160 of
     5 040 and 17 280 of 40 320 members at n = 6, 7 and 8.  On a table that
     is not closed under rc the lists only lose pairs: the floor gets
-    smaller, and ``build_poset`` stays exact by searching more pairs.  Each
-    cover's word is one tuple of a list copy of w, with the ascending pair
-    swapped, and swapped back after.
+    smaller, and ``build_poset`` stays exact by searching more pairs.  A
+    cover swaps two adjacent values a < b, and a word's values are
+    distinct, so its word is w with the values a and b exchanged: one
+    ``bytes.translate`` by ``swap[a][b]``.
     """
     index = table.index
     top = table.n + 1
     steps = range(table.n - 1)
+    swap = [
+        [bytes.maketrans(bytes((a, b)), bytes((b, a))) for b in range(top)] for a in range(top)
+    ]
     up = []
     below: list[list[int]] = [[] for _ in range(table.count)]
     for i, c in enumerate(table.classes):
@@ -328,13 +332,10 @@ def _weak_covers(table: ClassTable) -> tuple[list[list[int]], list[list[int]]]:
         for w in c.words:
             if w[0] + w[-1] > top:
                 continue
-            s = list(w)
-            for k in steps:  # the words of ``_left_steps(w)``, one tuple each
+            for k in steps:  # the words of ``_left_steps(w)``
                 a, b = w[k], w[k + 1]
                 if a < b:
-                    s[k], s[k + 1] = b, a
-                    reached.add(index[tuple(s)])
-                    s[k], s[k + 1] = a, b
+                    reached.add(index[w.translate(swap[a][b])])
         above = sorted(reached)
         for j in above:
             below[j].append(i)
@@ -468,9 +469,9 @@ def _left_cover_steps(
     (class index of m, class index of w, m, w)."""
     index = table.index
     for i, c in enumerate(table.classes):
-        for m in c.words:
+        for m in map(tuple, c.words):
             for w in _left_steps(m):
-                yield i, index[w], m, w
+                yield i, index[bytes(w)], m, w
 
 
 def _inversions_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoposet.digraphs import (
+    KEY_MAX_NODES,
     Digraph,
     MaskDigraph,
     canonical_key,
@@ -161,6 +163,30 @@ def test_key_handles_two_cycles():
     d3 = Digraph(3, frozenset({(1, 2), (2, 3)}))
     assert canonical_key(d1) == canonical_key(d2)
     assert canonical_key(d1) != canonical_key(d3)
+
+
+def cyclic_tournament(n: int) -> Digraph:
+    """The regular tournament on Z_n: each vertex beats the (n - 1) / 2
+    vertices after it, cyclically."""
+    return Digraph(
+        n, frozenset((u, (u + d - 1) % n + 1) for u in range(1, n + 1) for d in range(1, (n + 1) // 2))
+    )
+
+
+def test_key_search_refuses_the_n13_tournament_within_a_second():
+    # refinement splits nothing on a vertex-transitive digraph, so the
+    # search is exponential: unbounded, n = 13 took 4.0-4.5 s (1 709 632
+    # placements), n = 15 about 150 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"canonical key search passed {KEY_MAX_NODES} placements"):
+        canonical_key(cyclic_tournament(13))
+    assert time.perf_counter() - start < 1
+
+
+def test_key_search_budget_keeps_the_n11_tournament():
+    # 81 762 placements, the most of any digraph the tests key
+    d = cyclic_tournament(11)
+    assert canonical_key(d) == canonical_key(reverse(d))  # u -> -u reverses every arc
 
 
 def test_key_hex_is_lowercase_hex():

@@ -252,13 +252,14 @@ def test_enumerate_partitions_and_labels_unique():
 
 
 def test_members_are_untracked_word_tuples():
-    """A table keeps its members as plain tuples of ints, which the cyclic
-    collector untracks, not as ``Permutation`` objects it keeps scanning."""
+    """A table keeps its members as ``bytes``, one byte per value, which the
+    cyclic collector never tracks, not as ``Permutation`` objects it keeps
+    scanning."""
     table = enumerate_classes(7)
     gc.collect()
     for c in table.classes:
         assert type(c.words) is tuple and not gc.is_tracked(c.words), c.label
-        assert all(type(w) is tuple and not gc.is_tracked(w) for w in c.words), c.label
+        assert all(type(w) is bytes and not gc.is_tracked(w) for w in c.words), c.label
         assert c.word is c.words[0]
 
 
@@ -274,7 +275,7 @@ def test_members_and_representative_are_the_sorted_permutations(n):
         assert all(type(m) is Permutation for m in members + (c.representative,))
         assert members == tuple(by_key[c.key])  # lexicographic, as S_n is listed
         assert c.representative == members[0]
-        assert tuple(m.word for m in members) == c.words
+        assert tuple(bytes(m.word) for m in members) == c.words
 
 
 def test_enumerate_s5_profile_by_inversions():
@@ -598,7 +599,7 @@ def test_tree_codes_second_code_is_the_inverse_key_at_10_to_16(w):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_index_holds_every_word_once(n):
     table = enumerate_classes(n)
-    words = list(itertools.permutations(range(1, n + 1)))
+    words = list(map(bytes, itertools.permutations(range(1, n + 1))))
     assert sorted(table.index) == words
     for w, k in table.index.items():
         assert table.class_of(Permutation(w)) is table.classes[k]
@@ -609,6 +610,16 @@ def test_class_of_rejects_non_members():
     with pytest.raises(KeyError) as excinfo:
         table.class_of(parse("12345"))
     assert excinfo.value.args[0] == "12345 is not a member of any class (n mismatch?)"
+
+
+@pytest.mark.parametrize("other_n", [1, 3, 5, 9, 255, 256, 300])
+def test_class_of_raises_key_error_for_another_n(other_n):
+    # the index is keyed by bytes, and bytes() refuses values past 255:
+    # that too is a word of no class
+    table = enumerate_classes(4)
+    p = Permutation(tuple(range(other_n, 0, -1)))
+    with pytest.raises(KeyError, match="is not a member of any class"):
+        table.class_of(p)
 
 
 def test_no_pool_on_one_usable_cpu(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from collections import Counter
 import random
 from unittest import mock
@@ -17,7 +18,7 @@ from geoposet.digraphs import (
     is_isomorphic,
     reverse,
 )
-from geoposet.geoequiv import class_members, enumerate_classes
+from geoposet.geoequiv import _word_key, class_members, enumerate_classes
 from geoposet.graphs import (
     Graph,
     bits,
@@ -455,3 +456,92 @@ def test_quotient_of_series_node_is_complete():
     tree = decompose(complete_graph(4))
     q = quotient_graph(complete_graph(4), tree.root)
     assert q == complete_graph(4)
+
+
+# ---------------------------------------------------------------------------
+# the class key's substitution tree against the modular decomposition tree
+
+LONG = pytest.mark.skipif(
+    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
+    reason="the n = 8 trees take about 10 s; set GEOPOSET_ACCEPT_LONG=1",
+)
+# a code's header byte is kind << 5 | child count: ⊕, ⊖ and prime, and the
+# byte 0 for a leaf
+CODE_KINDS = {0: "leaf", 1: "degenerate0", 2: "degenerate1", 3: "prime"}
+
+
+def read_code(code, i=0):
+    """The (kind, sorted child shapes) of the node whose code starts at
+    code[i], and where its code ends; a prime node's σ, in nibbles, is
+    skipped."""
+    kind, k = code[i] >> 5, code[i] & 31
+    i += 1 + ((k + 1) // 2 if CODE_KINDS[kind] == "prime" else 0)
+    children = []
+    for _ in range(k):
+        child, i = read_code(code, i)
+        children.append(child)
+    return (CODE_KINDS[kind], tuple(sorted(children))), i
+
+
+def split_word(word):
+    """The substitution tree of a word of consecutive values, as (kind,
+    values, sorted children): ⊕ cuts where a prefix holds the least values,
+    ⊖ cuts where it holds the greatest, else the maximal proper intervals,
+    taken from the left."""
+    m, lo, hi = len(word), min(word), max(word)
+    values = tuple(sorted(word))
+    if m == 1:
+        return ("leaf", values, ())
+    plus = [k for k in range(1, m + 1) if max(word[:k]) == lo + k - 1]
+    minus = [k for k in range(1, m + 1) if min(word[:k]) == hi - k + 1]
+    if len(plus) > 1 or len(minus) > 1:
+        kind, cuts = ("degenerate0", plus) if len(plus) > 1 else ("degenerate1", minus)
+        blocks = [word[a:b] for a, b in zip([0, *cuts], cuts)]
+    else:
+        kind, blocks, a = "prime", [], 0
+        while a < m:
+            b = max(
+                b
+                for b in range(a + 1, m + (a > 0))
+                if max(word[a:b]) - min(word[a:b]) == b - a - 1
+            )
+            blocks.append(word[a:b])
+            a = b
+    return (kind, values, tuple(sorted(map(split_word, blocks))))
+
+
+def md_tree(node):
+    return (
+        node.kind.value,
+        tuple(sorted(node.vertices)),
+        tuple(sorted(map(md_tree, node.children))),
+    )
+
+
+def shape(tree):
+    kind, _, children = tree
+    return (kind, tuple(sorted(map(shape, children))))
+
+
+def has_prime(tree):
+    kind, _, children = tree
+    return kind == "prime" or any(map(has_prime, children))
+
+
+@pytest.mark.parametrize(
+    "n, prime_words",
+    [(1, 0), (2, 0), (3, 0), (4, 2), (5, 30), (6, 326), (7, 3234), pytest.param(8, 31762, marks=LONG)],
+)
+def test_class_key_tree_is_the_modular_decomposition_tree(n, prime_words):
+    # ⊕ nodes are degenerate0 (no inversion joins two blocks), ⊖ nodes are
+    # degenerate1 (every pair across blocks is one), and prime nodes are
+    # prime, with the same children as vertex sets: the values of each block
+    with_prime = 0
+    for p in all_permutations(n):
+        tree = split_word(p.word)
+        assert md_tree(decompose(inversion_graph(p)).root) == tree, str(p)
+        code = _word_key(p.word)
+        shape_of_code, end = read_code(code)
+        assert end == len(code) and shape_of_code == shape(tree), str(p)
+        with_prime += has_prime(tree)
+    assert with_prime == prime_words

@@ -12,6 +12,7 @@ import pytest
 
 from geoposet import geometry
 from geoposet.digraphs import (
+    Digraph,
     canonical_key,
     degrees_dominate,
     enumerate_transitive_orientations,
@@ -45,6 +46,16 @@ def embedding_pair(small: str, big: str):
     return _shapes(parse(small).word), _shapes(parse(big).word)
 
 
+def refused_key():
+    """A key search stopped by its budget: the regular tournament on 13
+    vertices, which refinement does not split."""
+    try:
+        canonical_key(TOURNAMENT)
+    except ValueError:
+        return
+    raise AssertionError("the key search stayed within its budget")
+
+
 def round_trip():
     drawing = geometry.build_realization(PRIME)
     return geometry.crossings(drawing), geometry.recover_permutation(drawing)
@@ -53,6 +64,7 @@ def round_trip():
 TABLE6 = enumerate_classes(6)
 HIT = embedding_pair("213456", "231456")
 MISS = embedding_pair("214365", "231645")  # passes the degree test, then misses
+TOURNAMENT = Digraph(13, frozenset((u + 1, (u + d) % 13 + 1) for u in range(13) for d in range(1, 7)))
 GRAPH = inversion_graph(PRIME)
 TREE = decompose(GRAPH)
 
@@ -62,6 +74,7 @@ ENTRY_POINTS = {
     "mask_embedding_miss": lambda: mask_embedding(*MISS),
     "decompose": lambda: decompose(GRAPH),
     "canonical_key": lambda: canonical_key(from_perm(PRIME)),
+    "canonical_key_over_budget": refused_key,
     "transitive_orientations": lambda: enumerate_transitive_orientations(GRAPH),
     "mdtree_to_json_obj": TREE.to_json_obj,
     "enumerate_classes": lambda: enumerate_classes(6),

@@ -733,9 +733,9 @@ def test_order_lifts_through_sums_with_a_point(n, pairs, plain_skew_misses):
     low, high = cached_poset(n - 1), cached_poset(n)
     index = high.table.index
     classes = low.table.classes
-    lifts = [[index[w] for w in point_sums(c.representative.word)] for c in classes]
+    lifts = [[index[bytes(w)] for w in point_sums(c.representative.word)] for c in classes]
     inverse_skews = [
-        [index[w] for w in point_sums(inverse(c.representative).word)[2:]] for c in classes
+        [index[bytes(w)] for w in point_sums(inverse(c.representative).word)[2:]] for c in classes
     ]
     checked = misses = 0
     for i, row in enumerate(low.leq):

@@ -3,9 +3,9 @@
     python tools/check.py
 
 1. tier 1: the whole test suite, ``pytest -q --continue-on-collection-errors``;
-2. long: the golden, poset, geometric-order, acceptance, CLI, class and
-   geometry tests with ``GEOPOSET_ACCEPT_LONG=1`` (the n = 8 and n = 9
-   cases);
+2. long: the golden, poset, geometric-order, acceptance, CLI, class,
+   geometry and modular-decomposition tests with ``GEOPOSET_ACCEPT_LONG=1``
+   (the n = 8 and n = 9 cases);
 3. bench smoke: ``perfbench/suite.py --smoke --seconds 0.3``.
 
 Each step runs from the repository root with ``src`` on ``PYTHONPATH``.
@@ -25,7 +25,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LONG_TESTS = [
     f"tests/test_{name}.py"
-    for name in ("golden", "poset", "geo_order", "acceptance", "cli", "geoequiv", "geometry")
+    for name in (
+        "golden", "poset", "geo_order", "acceptance", "cli", "geoequiv", "geometry", "moddecomp"
+    )
 ]
 # (name, argv, extra environment)
 STEPS = [
