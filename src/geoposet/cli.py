@@ -9,8 +9,10 @@ substitution tree means no cograph.  No command decomposes a graph except
 Exit codes: 0 success, 1 verification failure or a stdout that could not
 take the output: a closed pipe prints nothing on stderr, any other write
 error (a full disk, as ``>/dev/full`` gives) one ``error:`` line; 2 usage
-error or an output path that cannot be written.  Every command computes its
-class table, so output for identical inputs is byte-identical.
+error or an output path that cannot be written.  Every command computes
+what it prints afresh, ``enumerate``, ``poset`` and ``verify`` their class
+tables and ``classify`` the word's class, so output for identical inputs
+is byte-identical.
 """
 
 from __future__ import annotations

@@ -238,7 +238,11 @@ def canonical_key(d: Digraph) -> CanonicalKey:
     The leading byte is the vertex count, so digraphs of different sizes
     never collide.  Intended for n <= ``KEY_MAX_N``.  Raises ValueError when
     the search passes ``KEY_MAX_NODES`` placements, as on a regular
-    tournament on 13 vertices, which refinement does not split.
+    tournament on 13 vertices, which refinement does not split.  Inside
+    ``KEY_MAX_N`` it refuses the perfect matching 21⊕…⊕21 on 16 vertices
+    (14 are keyed): twin collapsing removes only transposition
+    automorphisms, and swapping two arcs of the matching is a product of
+    two transpositions.  ``geoequiv.class_key`` keys such words.
     """
     if d.n > KEY_MAX_N:
         raise ValueError(f"canonical keys are supported for n <= {KEY_MAX_N}")
@@ -492,11 +496,6 @@ def induced_permutation(f: Digraph, f1: Digraph) -> Permutation:
     union = [a | b for a, b in zip(out, out1)]
     if not is_closed(union):
         raise ValueError("assembled tournament is not transitive")
-    rank = [n - 1 - m.bit_count() for m in union]
-    ranked_out = [0] * n
-    ranked_in = [0] * n
-    for u in range(n):
-        for v in bits(out[u]):
-            ranked_out[rank[u]] |= 1 << rank[v]
-            ranked_in[rank[v]] |= 1 << rank[u]
-    return Permutation(word_from_masks(ranked_out, ranked_in))
+    rank = [n - m.bit_count() for m in union]  # 1 for the source
+    ranked = pair_masks(n, ((rank[u - 1], rank[v - 1]) for u, v in f.arcs))
+    return Permutation(word_from_masks(*ranked))

@@ -553,8 +553,9 @@ def enumerate_classes(n: int) -> ClassTable:
     every value v translated to n+1−v.  The words themselves are grouped
     and kept as the members: no ``Permutation`` is built.  The dict over
     all n! words goes before the groups are sorted, and the groups before
-    the classes are built, so neither is held with the table.  Refuses any n that is not an int in 1..9: the scan is
-    exact and the factorial growth makes larger n a different project.
+    the classes are built, so neither is held with the table.  Refuses any
+    n that is not an int in 1..9: the scan is exact and the factorial
+    growth makes larger n a different project.
     """
     if type(n) is not int or not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(

@@ -10,30 +10,30 @@ relation antisymmetric.
 ``build_poset`` fills one bitmask row per class, bottom-up on the weak-order
 floor.  The dense relations (the rows, the floor and a row's unknowns) are
 bitmasks.  The sparse per-class sets (the weak covers, a row's hits and its
-covers) are ascending lists of class indices: at n = 9 a mask costs about
-8 KB whatever it holds, and these hold about 8 of 66 302 classes.  A left weak-order cover of a word adds one inversion and keeps the
-others, so the identity map embeds the word's digraph into the cover's: the
-cover's class lies above the word's.  Mapping the left covers of the
-members to class indices gives each class's weak covers, and their closure
-is the floor, a part of the order that costs no search.  The right covers
-add nothing: they are the left covers of the inverses, inverted, and a word
-shares its class with its inverse.  Half the members are walked: every
-class is closed under reverse-complement, an automorphism of the left weak
-order, so a member and its image reach the same classes
-(``_weak_covers``).  Each row starts as its floor row, and only the
-classes the floor leaves open are decided by an embedding search (see
-``build_poset``).  Each decision settles others through the floor: a
-hit brings in the target's floor row, and a miss rules out every class the
-floor puts below the target (the miss cascade).  A representative's
+covers) are ascending lists of class indices: at n = 9 a mask costs about 8 KB
+whatever it holds, and these hold about 8 of 66 302 classes.  A left
+weak-order cover of a word adds one inversion and keeps the others, so the
+identity map embeds the word's digraph into the cover's: the cover's class
+lies above the word's.  Mapping the left covers of the members to class
+indices gives each class's weak covers, and their closure is the floor, a part
+of the order that costs no search.  The right covers add nothing: they are the
+left covers of the inverses, inverted, and a word shares its class with its
+inverse.  Half the members are walked: every class is closed under
+reverse-complement, an automorphism of the left weak order, so a member and
+its image reach the same classes (``_weak_covers``).  Each row starts as its
+floor row, and only the classes the floor leaves open are decided by an
+embedding search (see ``build_poset``).  Each decision settles others through
+the floor: a hit brings in the target's floor row, and a miss rules out every
+class the floor puts below the target (the miss cascade).  A representative's
 digraph is built the first time a decision reads it, as adjacency masks
-straight from the word; at n = 6 that is 145 of the 182 classes.  A pair
-is decided by a search into the target's digraph and, when that misses and
-neither class is self-related (its digraph is isomorphic to its reversal),
-by a second search into the target's arc reversal, which is isomorphic to
-the inverse's digraph.  The reversal is built for that search alone and
-dropped after it: 86 times at n = 6.  ``mask_embedding`` rejects a pair
-before it searches at all when no bijection gives every source vertex a
-target with at least its out- and in-degree.
+straight from the word; at n = 6 that is 145 of the 182 classes.  A pair is
+decided by a search into the target's digraph and, when that misses and
+neither class is self-related (its digraph is isomorphic to its reversal), by
+a second search into the target's arc reversal, which is isomorphic to the
+inverse's digraph.  The reversal is built for that search alone and dropped
+after it: 86 times at n = 6.  ``mask_embedding`` rejects a pair before it
+searches at all when no bijection gives every source vertex a target with at
+least its out- and in-degree.
 
 Classes are indexed in ascending inversion count, and row i holds only
 classes of higher levels besides i, so every row is upper-triangular: it

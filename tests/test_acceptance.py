@@ -1,12 +1,11 @@
 """Acceptance suite: one test per stated criterion, printed pass/fail lines.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines; the
-long n = 9 enumeration is opt-in via GEOPOSET_ACCEPT_LONG=1 (mirroring the
-CLI's --allow-long gate).
+n = 9 enumeration is marked ``long`` (see conftest.py), mirroring the CLI's
+--allow-long gate.
 """
 
 import hashlib
-import os
 import random
 import time
 
@@ -52,18 +51,17 @@ def test_criterion_1_class_count_sequence():
     assert elapsed < 60, f"n <= 7 enumeration took {elapsed:.1f} s"
     got[8] = enumerate_classes(8).count
     assert got[8] == CLASS_COUNTS[8]
-    detail = f"counts {list(got.values())} for n=1..8 in {elapsed:.1f}+ s"
-    if os.environ.get("GEOPOSET_ACCEPT_LONG") == "1":
-        t1 = time.time()
-        table = enumerate_classes(9)
-        got[9] = table.count
-        assert got[9] == CLASS_COUNTS[9]
-        # the digest of the table that the backtracking canonical_key gives
-        assert hashlib.sha256(table.to_json().encode()).hexdigest() == N9_TABLE_SHA256
-        detail += f"; n=9 -> {got[9]} in {time.time() - t1:.0f} s"
-    else:
-        detail += "; n=9 skipped (set GEOPOSET_ACCEPT_LONG=1)"
-    report(1, detail)
+    report(1, f"counts {list(got.values())} for n=1..8 in {elapsed:.1f}+ s")
+
+
+@pytest.mark.long
+def test_criterion_1_class_count_at_n9():
+    t0 = time.time()
+    table = enumerate_classes(9)
+    assert table.count == CLASS_COUNTS[9]
+    # the digest of the table that the backtracking canonical_key gives
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == N9_TABLE_SHA256
+    report(1, f"n=9 -> {table.count} in {time.time() - t0:.0f} s")
 
 
 def test_criterion_2_reference_table_fidelity():

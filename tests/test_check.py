@@ -10,20 +10,19 @@ spec.loader.exec_module(check)
 
 def test_steps_are_the_three_standing_checks():
     assert [name for name, _, _ in check.STEPS] == ["tier 1", "long", "bench smoke"]
-    _, long_argv, long_env = check.STEPS[1]
-    assert long_env == {"GEOPOSET_ACCEPT_LONG": "1"}
-    assert all((check.ROOT / path).is_file() for path in check.LONG_TESTS)
     assert (check.ROOT / check.STEPS[2][1][1]).is_file()
 
 
-def test_the_long_step_runs_every_test_file_that_reads_the_long_flag():
-    (flag,) = check.STEPS[1][2]
+def test_the_long_step_selects_the_long_marker_and_only_conftest_reads_the_flag():
+    _, argv, env = check.STEPS[1]
+    assert argv[-2:] == ["-m", "long"]
+    assert env == {"GEOPOSET_ACCEPT_LONG": "1"}
     reads_flag = {
-        f"tests/{path.name}"
+        path.name
         for path in (check.ROOT / "tests").glob("*.py")
-        if f'environ.get("{flag}")' in path.read_text()
+        if "GEOPOSET_ACCEPT_LONG" in path.read_text() and path.name != Path(__file__).name
     }
-    assert reads_flag and reads_flag <= set(check.LONG_TESTS)
+    assert reads_flag == {"conftest.py"}
 
 
 def test_one_line_per_step_and_a_failing_exit(monkeypatch, capsys):

@@ -24,9 +24,17 @@ from geoposet.digraphs import (
     reverse,
     spanning_embeds,
 )
-from geoposet.geoequiv import enumerate_classes
+from geoposet.geoequiv import class_key, enumerate_classes
 from geoposet.graphs import Graph, complete_graph, cycle_graph, empty_graph
-from geoposet.perms import all_permutations, identity, inverse, inversion_set, parse, word_masks
+from geoposet.perms import (
+    Permutation,
+    all_permutations,
+    identity,
+    inverse,
+    inversion_set,
+    parse,
+    word_masks,
+)
 from geoposet.perms import reverse as word_reverse
 
 
@@ -187,6 +195,33 @@ def test_key_search_budget_keeps_the_n11_tournament():
     # 81 762 placements, the most of any digraph the tests key
     d = cyclic_tournament(11)
     assert canonical_key(d) == canonical_key(reverse(d))  # u -> -u reverses every arc
+
+
+def perfect_matching(n: int) -> Permutation:
+    """21⊕21⊕…⊕21 on n vertices: D(w) is n / 2 disjoint arcs."""
+    return Permutation(tuple(v for i in range(1, n, 2) for v in (i + 1, i)))
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_key_search_keeps_the_perfect_matching_up_to_14_vertices(n):
+    # 14 vertices take 62 671 placements, about 0.24 s
+    d = from_perm(perfect_matching(n))
+    assert canonical_key(d) == canonical_key(reverse(d))
+
+
+def test_key_search_refuses_the_perfect_matching_on_16_vertices():
+    # a known limit inside KEY_MAX_N: twin collapsing catches only
+    # transposition automorphisms, and swapping two arcs of the matching is
+    # a product of two transpositions, so 16 vertices need 541 752
+    # placements (about 2.4 s unbounded); refused after about 0.2 s
+    with pytest.raises(ValueError, match=f"canonical key search passed {KEY_MAX_NODES} placements"):
+        canonical_key(from_perm(perfect_matching(16)))
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_class_key_keys_the_perfect_matching(n):
+    # the class key reads the word's substitution tree, not the digraph
+    assert class_key(perfect_matching(n)) != class_key(identity(n))
 
 
 def test_key_hex_is_lowercase_hex():

@@ -15,7 +15,6 @@ antisymmetric on classes (``test_vertex_maps_give_no_partial_order``).
 """
 
 import itertools
-import os
 
 import pytest
 
@@ -69,14 +68,7 @@ def geometric_rows(table):
         (3, 10),
         (4, 67),
         (5, 571),
-        pytest.param(
-            6,
-            9545,
-            marks=pytest.mark.skipif(
-                os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
-                reason="the n = 6 oracle takes about 4 s; set GEOPOSET_ACCEPT_LONG=1",
-            ),
-        ),
+        pytest.param(6, 9545, marks=pytest.mark.long),  # the oracle takes about 4 s
     ],
 )
 def test_order_is_the_geometric_order_on_drawings(n, pairs):

@@ -191,13 +191,7 @@ def _move_closure(w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
-LONG = pytest.mark.skipif(
-    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
-    reason="the n = 8 closures take a few seconds; set GEOPOSET_ACCEPT_LONG=1",
-)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=LONG)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.long)])
 def test_class_members_are_the_closure_of_three_moves(n):
     # an oracle that shares no code with the bijection scan or the keys:
     # each class is the closure of its representative under the moves

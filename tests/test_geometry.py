@@ -1,5 +1,4 @@
 import math
-import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -80,13 +79,7 @@ def fan_realization(p):
     return Realization(a=(100, 0), b=(0, 0), spokes=tuple(spokes))
 
 
-LONG = pytest.mark.skipif(
-    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
-    reason="the n = 8 fans take a few seconds; set GEOPOSET_ACCEPT_LONG=1",
-)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=LONG)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.long)])
 def test_template_is_the_fan_construction(n):
     for p in all_permutations(n):
         r, fan = build_realization(p), fan_realization(p)

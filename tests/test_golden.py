@@ -3,12 +3,11 @@
 Each command below is pinned by the sha256 of its stdout and, for
 ``poset``, of the DOT and JSON files it writes.  A change to any byte of
 these outputs fails here; re-pin only for an intended change of output.
-The n = 8 and n = 9 commands run only with GEOPOSET_ACCEPT_LONG=1.
+The n = 8 and n = 9 commands are marked ``long`` (see conftest.py).
 ``verify 5`` is pinned line by line in test_cli.py.
 """
 
 import hashlib
-import os
 
 import pytest
 
@@ -72,11 +71,6 @@ GOLDEN = {
     "classify 51284367": "516356dc33ab2055bf93c28dcd6f25e202d65e3db5659b1acd02120254f19c5b",
 }
 
-LONG = pytest.mark.skipif(
-    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
-    reason="n = 8 and 9 runs take a few seconds; set GEOPOSET_ACCEPT_LONG=1",
-)
-
 
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
@@ -86,7 +80,7 @@ def isolated(tmp_path, monkeypatch):
 
 
 def _case(command):
-    marks = [LONG] if "--allow-long" in command else []
+    marks = [pytest.mark.long] if "--allow-long" in command else []
     return pytest.param(command, GOLDEN[command], id=command, marks=marks)
 
 

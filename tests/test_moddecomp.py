@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 from collections import Counter
 import random
 from unittest import mock
@@ -461,10 +460,6 @@ def test_quotient_of_series_node_is_complete():
 # ---------------------------------------------------------------------------
 # the class key's substitution tree against the modular decomposition tree
 
-LONG = pytest.mark.skipif(
-    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
-    reason="the n = 8 trees take about 10 s; set GEOPOSET_ACCEPT_LONG=1",
-)
 # a code's header byte is kind << 5 | child count: ⊕, ⊖ and prime, and the
 # byte 0 for a leaf
 CODE_KINDS = {0: "leaf", 1: "degenerate0", 2: "degenerate1", 3: "prime"}
@@ -530,7 +525,16 @@ def has_prime(tree):
 
 @pytest.mark.parametrize(
     "n, prime_words",
-    [(1, 0), (2, 0), (3, 0), (4, 2), (5, 30), (6, 326), (7, 3234), pytest.param(8, 31762, marks=LONG)],
+    [
+        (1, 0),
+        (2, 0),
+        (3, 0),
+        (4, 2),
+        (5, 30),
+        (6, 326),
+        (7, 3234),
+        pytest.param(8, 31762, marks=pytest.mark.long),
+    ],
 )
 def test_class_key_tree_is_the_modular_decomposition_tree(n, prime_words):
     # ⊕ nodes are degenerate0 (no inversion joins two blocks), ⊖ nodes are

@@ -361,12 +361,6 @@ def cached_poset(n):
     return build_poset(n)
 
 
-LONG = pytest.mark.skipif(
-    os.environ.get("GEOPOSET_ACCEPT_LONG") != "1",
-    reason="the n = 8 order takes about 3 s; set GEOPOSET_ACCEPT_LONG=1",
-)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_fill_equals_the_ascending_scan(n):
     poset = cached_poset(n)
@@ -407,7 +401,7 @@ def test_half_walk_gives_the_left_cover_steps(n):
 
 
 @pytest.mark.parametrize(
-    "n, outside", [(4, 0), (5, 1), (6, 17), (7, 264), pytest.param(8, 4009, marks=LONG)]
+    "n, outside", [(4, 0), (5, 1), (6, 17), (7, 264), pytest.param(8, 4009, marks=pytest.mark.long)]
 )
 def test_covers_outside_the_weak_order_floor(n, outside):
     # experimental: the covers (i, j) whose j is not reached from i by left
@@ -663,7 +657,7 @@ def test_row_digests(n, digest):
     assert row_digest(cached_poset(n)) == digest
 
 
-@LONG
+@pytest.mark.long
 def test_n8_order_is_bounded_and_not_graded():
     poset = cached_poset(8)
     table = poset.table
@@ -719,7 +713,7 @@ def point_sums(word):
         (5, 67, 0),
         (6, 571, 24),
         (7, 9545, 804),
-        pytest.param(8, 239186, 39139, marks=LONG),
+        pytest.param(8, 239186, 39139, marks=pytest.mark.long),
     ],
 )
 def test_order_lifts_through_sums_with_a_point(n, pairs, plain_skew_misses):

@@ -3,9 +3,8 @@
     python tools/check.py
 
 1. tier 1: the whole test suite, ``pytest -q --continue-on-collection-errors``;
-2. long: the golden, poset, geometric-order, acceptance, CLI, class,
-   geometry and modular-decomposition tests with ``GEOPOSET_ACCEPT_LONG=1``
-   (the n = 8 and n = 9 cases);
+2. long: every test marked ``long`` (the cases that take seconds or more),
+   ``pytest -q -m long`` with ``GEOPOSET_ACCEPT_LONG=1``;
 3. bench smoke: ``perfbench/suite.py --smoke --seconds 0.3``.
 
 Each step runs from the repository root with ``src`` on ``PYTHONPATH``.
@@ -23,20 +22,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LONG_TESTS = [
-    f"tests/test_{name}.py"
-    for name in (
-        "golden", "poset", "geo_order", "acceptance", "cli", "geoequiv", "geometry", "moddecomp"
-    )
-]
 # (name, argv, extra environment)
 STEPS = [
     ("tier 1", [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"], {}),
-    (
-        "long",
-        [sys.executable, "-m", "pytest", "-q", *LONG_TESTS],
-        {"GEOPOSET_ACCEPT_LONG": "1"},
-    ),
+    ("long", [sys.executable, "-m", "pytest", "-q", "-m", "long"], {"GEOPOSET_ACCEPT_LONG": "1"}),
     ("bench smoke", [sys.executable, "perfbench/suite.py", "--smoke", "--seconds", "0.3"], {}),
 ]
 TAIL = 20  # output lines shown under a failing step
