@@ -101,7 +101,13 @@ def equivalent_fast(sigma: Permutation, pi: Permutation) -> bool:
 
 _SUM, _SKEW, _PRIME = 1 << 5, 2 << 5, 3 << 5  # a node's header is kind | child count
 _LEAVES = (b"\x00",) * 2  # the code pair of the word 1, its own inverse
-_NIBBLE = "-0123456789abcdef"  # _NIBBLE[v]: the value v of 1..16 as a hex digit
+_HEX = bytes.maketrans(bytes(range(1, 17)), b"0123456789abcdef")  # v of 1..16 as a hex digit
+# _SHIFT[least] maps the values least..16 to 1..17−least: one translate
+# normalises a block whose least value is ``least``, for least = 2..16.
+_SHIFT = [b""] * 2 + [
+    bytes.maketrans(bytes(range(least, KEY_MAX_N + 1)), bytes(range(1, KEY_MAX_N + 2 - least)))
+    for least in range(2, KEY_MAX_N + 1)
+]
 # The sums of the k least and of the k greatest of the values 1..m: a word's
 # prefix sum meets them exactly where it has a ⊕ or a ⊖ cut.
 _LEAST = tuple(itertools.accumulate(range(1, KEY_MAX_N + 1)))
@@ -112,17 +118,16 @@ _GREATEST = [()] + [
 
 def _nibbles(word: Iterable[int]) -> bytes:
     """The values 1..16 of ``word`` as 0..15, two to a byte, zero-padded."""
-    digits = "".join(map(_NIBBLE.__getitem__, word))
+    digits = bytes(word).translate(_HEX).decode()
     return bytes.fromhex(digits + "0" * (len(digits) & 1))
 
 
-def _block_codes(w: Sequence[int], a: int, b: int, least: int, memo: dict) -> tuple[bytes, bytes]:
+def _block_codes(w: bytes, a: int, b: int, least: int, memo: dict) -> tuple[bytes, bytes]:
     """The code pair of the block w[a:b] whose least value is ``least``,
-    normalised to the values 1..b−a, through ``memo``.  The block's key is
-    a tuple whether w is bytes or a tuple."""
+    through ``memo``, which keys it normalised to the values 1..b−a."""
     if b - a == 1:
         return _LEAVES
-    block = tuple([v - least + 1 for v in w[a:b]]) if least > 1 else tuple(w[a:b])
+    block = w[a:b].translate(_SHIFT[least]) if least > 1 else w[a:b]
     pair = memo.get(block)
     if pair is None:
         pair = memo[block] = _tree_codes(block, memo)
@@ -168,15 +173,16 @@ def _quotient(by_value: list[int]) -> tuple[tuple, tuple]:
     )
 
 
-def _tree_codes(w: Sequence[int], memo: dict) -> tuple[bytes, bytes]:
-    """The codes of D(w) and of D(w⁻¹) for a word w of the values 1..m,
-    bytes or a tuple, from one walk of w's substitution tree: equal codes
-    hold exactly for isomorphic digraphs.  ``memo`` holds all the walks
-    learn: it maps normalised blocks of w, as tuples, to their code pairs
-    (w itself is not stored), and each prime quotient σ met, as
-    ``bytes(σ⁻¹)`` from 0, to its ``_quotient`` recipe.  A tuple key never
-    equals a bytes key.  Every prime quotient is a simple permutation, and
-    S₈ has only 3 318 of them.  See ``_word_key``."""
+def _tree_codes(w: bytes, memo: dict) -> tuple[bytes, bytes]:
+    """The codes of D(w) and of D(w⁻¹) for a word w of the values 1..m, as
+    bytes, from one walk of w's substitution tree: equal codes hold exactly
+    for isomorphic digraphs.  ``memo`` holds all the walks learn: it maps
+    blocks of w, normalised to the values 1..b−a, to their code pairs (w
+    itself is not stored), and each prime quotient σ met, as ``bytes(σ⁻¹)``
+    from 0, to its ``_quotient`` recipe.  A quotient key always holds a 0
+    byte and a block key never does, so the two never meet.  Every prime
+    quotient is a simple permutation, and S₈ has only 3 318 of them.  See
+    ``_word_key``."""
     m = len(w)
     if m == 1:
         return _LEAVES
@@ -213,7 +219,7 @@ def _tree_codes(w: Sequence[int], memo: dict) -> tuple[bytes, bytes]:
                 hi = v
             if hi - lo == j - a:
                 b, least = j + 1, lo
-        pairs.append(_block_codes(w, a, b, least, memo))
+        pairs.append(_block_codes(w, a, b, least, memo) if b - a > 1 else _LEAVES)
         mins.append(least)
         a = b
     by_value = sorted(range(len(mins)), key=mins.__getitem__)  # σ⁻¹, from 0
@@ -266,7 +272,7 @@ def _separable_count(code: bytes, i: int = 0) -> tuple[int, int]:
     return count, i
 
 
-def _word_key(word: tuple[int, ...]) -> CanonicalKey:
+def _word_key(word: Sequence[int]) -> CanonicalKey:
     """Canonical key of the permutation digraph D(w), read off the
     substitution decomposition of the word (Albert & Atkinson, "Simple
     permutations and pattern restricted permutations", 2005).
@@ -298,7 +304,7 @@ def _word_key(word: tuple[int, ...]) -> CanonicalKey:
     value order, reversed.  For 35124, which is 2413 inflated by 12 at its
     value 1:
 
-    >>> code, inverse_code = _tree_codes((3, 5, 1, 2, 4), {})
+    >>> code, inverse_code = _tree_codes(bytes((3, 5, 1, 2, 4)), {})
     >>> inverse_code == _word_key(inverse_word((3, 5, 1, 2, 4)))
     True
     >>> inverse_code == code
@@ -307,9 +313,10 @@ def _word_key(word: tuple[int, ...]) -> CanonicalKey:
     A leaf is the byte 0; a node is a header byte ``kind << 5 | child
     count``, then for a prime node σ in nibbles, then the child codes.  The
     code is prefix-free and fixes n, so it carries no length; at n = 8 it
-    is at most 15 bytes.  Words longer than ``KEY_MAX_N`` are refused.
+    is at most 15 bytes.  Words longer than ``KEY_MAX_N`` are refused.  The
+    word may be any sequence of ints; the walk reads it as ``bytes``.
     """
-    return _tree_codes(word, {})[0]
+    return _tree_codes(bytes(word), {})[0]
 
 
 def class_key(p: Permutation) -> CanonicalKey:
@@ -321,7 +328,7 @@ def class_key(p: Permutation) -> CanonicalKey:
     gives both keys; no masks are built and no search runs: see
     ``_word_key``.
     """
-    return min(_tree_codes(p.word, {}))
+    return min(_tree_codes(bytes(p.word), {}))
 
 
 def four_family(p: Permutation) -> tuple[Permutation, Permutation, Permutation, Permutation]:

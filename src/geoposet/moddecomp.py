@@ -317,7 +317,7 @@ def cograph_class_size(p: Permutation) -> ClassSizeReport:
     the walk are equal.  Raises ValueError past n = 16, where words get no
     code, and on a prime node.
     """
-    code, inverse_code = _tree_codes(p.word, {})
+    code, inverse_code = _tree_codes(bytes(p.word), {})
     n_d = _separable_count(code)[0]
     if not n_d:
         raise ValueError("inversion graph has a prime node; class size needs enumeration")

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[int, int]
 # Maps the bytes 0..9 to their ASCII digits, for ``format_word``.
@@ -228,9 +227,15 @@ def inversion_count(p: Permutation) -> int:
     return word_inversion_count(p.word)
 
 
-def word_inversion_count(word: tuple[int, ...]) -> int:
-    """``inversion_count`` of the permutation with this word."""
-    return sum(itertools.starmap(operator.gt, itertools.combinations(word, 2)))
+def word_inversion_count(word: Sequence[int]) -> int:
+    """``inversion_count`` of the permutation with this word, a tuple or
+    ``bytes``: each value adds the count of greater values before it, read
+    off a bit set of the values seen."""
+    count = seen = 0
+    for v in word:
+        count += (seen >> v).bit_count()
+        seen |= 1 << v
+    return count
 
 
 def is_inversion_set(ps: PairSet) -> bool:

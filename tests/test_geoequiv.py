@@ -345,7 +345,7 @@ def test_enumerate_keys_one_word_per_orbit(monkeypatch):
     for n, orbit_count in ((5, 45), (6, 230), (7, 1388), (8, 10558)):
         walked.clear()
         enumerate_classes(n)
-        top = [w for w in walked if len(w) == n]
+        top = [tuple(w) for w in walked if len(w) == n]  # the walk is given bytes
         orbits = {_four_orbit(w) for w in itertools.permutations(range(1, n + 1))}
         assert len(top) == len({_four_orbit(w) for w in top}) == len(orbits) == orbit_count
 
@@ -353,24 +353,33 @@ def test_enumerate_keys_one_word_per_orbit(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_tree_codes_second_code_is_the_inverse_key(n):
     for w in itertools.permutations(range(1, n + 1)):
-        code, inverse_code = geoequiv._tree_codes(w, {})
+        code, inverse_code = geoequiv._tree_codes(bytes(w), {})
         assert code == geoequiv._word_key(w)
         assert inverse_code == geoequiv._word_key(inverse(Permutation(w)).word), w
 
 
 def test_shared_memo_gives_fresh_codes():
     memo = {}
-    for w in itertools.permutations(range(1, 8)):
+    for w in map(bytes, itertools.permutations(range(1, 8))):
         assert geoequiv._tree_codes(w, memo) == geoequiv._tree_codes(w, {}), w
-    blocks, _ = _walk_state(memo)
+    blocks, quotients = _walk_state(memo)
     assert blocks and max(map(len, blocks)) < 7
+    # a quotient key maps to a recipe; a block key is a word of the values
+    # 1..m, normalised, and maps to the pair a fresh walk of it gives
+    for key in quotients:
+        (prefix, _, _), (inverse_prefix, _, _) = geoequiv._quotient(list(key))
+        assert (memo[key][0][0], memo[key][1][0]) == (prefix, inverse_prefix), key
+    for key in blocks:
+        assert sorted(key) == list(range(1, len(key) + 1)), key
+        assert memo[key] == geoequiv._tree_codes(key, {}), key
 
 
 def _walk_state(memo) -> tuple[list, list]:
-    """The memo's block keys (tuples) and prime-quotient keys (bytes)."""
-    blocks = [key for key in memo if type(key) is tuple]
-    quotients = [key for key in memo if type(key) is bytes]
-    assert len(blocks) + len(quotients) == len(memo)
+    """The memo's block keys (no 0 byte) and prime-quotient keys
+    (``bytes(σ⁻¹)``, from 0, so with a 0 byte)."""
+    blocks = [key for key in memo if 0 not in key]
+    quotients = [key for key in memo if 0 in key]
+    assert all(type(key) is bytes for key in memo)
     return blocks, quotients
 
 
@@ -390,7 +399,7 @@ def test_quotient_table_holds_the_simple_permutations(n, entries):
     # of length 4..n; their counts are 2, 6, 46, 338, 2 926 (OEIS A111111)
     memo = {}
     for w in itertools.permutations(range(1, n + 1)):
-        geoequiv._tree_codes(w, memo)
+        geoequiv._tree_codes(bytes(w), memo)
     _, quotients = _walk_state(memo)
     assert len(quotients) == entries
     for by_value in quotients:
@@ -399,7 +408,7 @@ def test_quotient_table_holds_the_simple_permutations(n, entries):
 
 def test_shared_quotient_table_gives_fresh_codes():
     memo = {}
-    for w in itertools.permutations(range(1, 8)):
+    for w in map(bytes, itertools.permutations(range(1, 8))):
         assert geoequiv._tree_codes(w, memo) == geoequiv._tree_codes(w, {}), w
     blocks, quotients = _walk_state(memo)
     assert max(map(len, blocks)) < 7 and len(quotients) == 392
@@ -416,7 +425,7 @@ def _sha256_of_codes(codes) -> str:
 def test_key_bytes_are_pinned():
     # poset compares class keys, so a changed key byte could alter the order
     # while every enumerate output stays the same
-    pairs = (geoequiv._tree_codes(w, {}) for w in itertools.permutations(range(1, 8)))
+    pairs = (geoequiv._tree_codes(bytes(w), {}) for w in itertools.permutations(range(1, 8)))
     assert _sha256_of_codes(code for pair in pairs for code in pair) == (
         "3c4e7644bc9e6e098ebadcb9ba71805a91019a9bd889a77b1f5101fa56057d68"
     )
@@ -505,7 +514,7 @@ def test_class_key_refuses_17_letters():
         with pytest.raises(ValueError):
             class_key(Permutation(w))
         with pytest.raises(ValueError):
-            geoequiv._tree_codes(w, {})
+            geoequiv._tree_codes(bytes(w), {})
 
 
 def _inflate(sigma, children) -> tuple[int, ...]:
@@ -585,7 +594,7 @@ def _inflated_word(draw) -> tuple[int, ...]:
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
 )))
 def test_tree_codes_second_code_is_the_inverse_key_at_10_to_16(w):
-    code, inverse_code = geoequiv._tree_codes(w, {})
+    code, inverse_code = geoequiv._tree_codes(bytes(w), {})
     assert inverse_code == geoequiv._word_key(inverse(Permutation(w)).word)
     assert (code == inverse_code) == _backtracking_says_isomorphic(w, inverse(Permutation(w)).word)
 

@@ -26,6 +26,7 @@ from geoposet.perms import (
     perm_from_inversion_set,
     reverse,
     word_from_masks,
+    word_inversion_count,
     word_masks,
 )
 
@@ -291,9 +292,11 @@ def test_round_trip_randomized(word):
 
 
 def test_inversion_count_matches_naive_oracle():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for p in all_permutations(n):
-            assert inversion_count(p) == len(naive_inversions(p.word)), str(p)
+            expected = len(naive_inversions(p.word))
+            assert inversion_count(p) == expected, str(p)
+            assert word_inversion_count(bytes(p.word)) == expected, str(p)
 
 
 def test_word_text_is_digits_to_9_then_commas():
