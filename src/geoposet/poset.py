@@ -137,7 +137,7 @@ class Poset:
         size = self.size
         full = (1 << size) - 1
         least = [i for i in range(size) if self.leq[i] == full]
-        greatest = list(bits(reduce(and_, self.leq)))
+        greatest = list(bits(reduce(and_, self.leq, full)))
         first = self.table.classes[least[0]] if len(least) == 1 else None
         last = self.table.classes[greatest[0]] if len(greatest) == 1 else None
         return first, last

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per stated criterion, printed pass/fail lines.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines; the
-n = 9 enumeration is marked ``long`` (see conftest.py), mirroring the CLI's
---allow-long gate.
+n = 9 enumeration is marked ``long`` (run with ``pytest -m long``),
+mirroring the CLI's --allow-long gate.
 """
 
 import hashlib

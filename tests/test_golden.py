@@ -3,7 +3,7 @@
 Each command below is pinned by the sha256 of its stdout and, for
 ``poset``, of the DOT and JSON files it writes.  A change to any byte of
 these outputs fails here; re-pin only for an intended change of output.
-The n = 8 and n = 9 commands are marked ``long`` (see conftest.py).
+The n = 8 and n = 9 commands are marked ``long`` (run with ``pytest -m long``).
 ``verify 5`` is pinned line by line in test_cli.py.
 """
 

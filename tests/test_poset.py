@@ -115,6 +115,13 @@ def test_s4_bounded_twelve_elements():
     assert poset.is_bounded()
 
 
+def test_empty_table_has_no_bounds():
+    poset = build_poset(ClassTable(3, ()))
+    assert poset.size == 0
+    assert poset.bounds() == (None, None)
+    assert not poset.is_bounded()
+
+
 def test_s4_and_s5_graded():
     for n in (4, 5):
         ok, witnesses = is_graded(build_poset(n))
@@ -676,10 +683,7 @@ def test_n8_order_is_bounded_and_not_graded():
     assert hi == class_by_member(table, "13672485").label
 
 
-@pytest.mark.skipif(
-    os.environ.get("GEOPOSET_ACCEPT_N9") != "1",
-    reason="the n = 9 order takes about 90 s and 1.2 GB; set GEOPOSET_ACCEPT_N9=1",
-)
+@pytest.mark.long  # about 60 s and 1.1 GB
 def test_n9_order_is_bounded_and_not_graded():
     poset = build_poset(9)
     table = poset.table

@@ -1,11 +1,13 @@
-"""Run the repository's three standing checks and report each in one line.
+"""Run the repository's two standing checks and report each in one line.
 
     python tools/check.py
 
-1. tier 1: the whole test suite, ``pytest -q --continue-on-collection-errors``;
+1. tier 1: the whole test suite but the ``long`` tests,
+   ``pytest -q --continue-on-collection-errors`` (``pyproject.toml`` adds
+   ``-m 'not long'``); it also runs the benchmark's smoke tests in
+   ``perfbench/test_perfbench.py``;
 2. long: every test marked ``long`` (the cases that take seconds or more),
-   ``pytest -q -m long`` with ``GEOPOSET_ACCEPT_LONG=1``;
-3. bench smoke: ``perfbench/suite.py --smoke --seconds 0.3``.
+   ``pytest -q -m long``.
 
 Each step runs from the repository root with ``src`` on ``PYTHONPATH``.
 It prints ``PASS`` or ``FAIL``, the step and its wall time; a failing
@@ -22,21 +24,24 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# (name, argv, extra environment)
+# (name, argv)
 STEPS = [
-    ("tier 1", [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"], {}),
-    ("long", [sys.executable, "-m", "pytest", "-q", "-m", "long"], {"GEOPOSET_ACCEPT_LONG": "1"}),
-    ("bench smoke", [sys.executable, "perfbench/suite.py", "--smoke", "--seconds", "0.3"], {}),
+    ("tier 1", [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]),
+    ("long", [sys.executable, "-m", "pytest", "-q", "-m", "long"]),
 ]
 TAIL = 20  # output lines shown under a failing step
 
 
-def run_step(argv: list[str], extra: dict[str, str]) -> tuple[bool, str]:
+def run_step(argv: list[str]) -> tuple[bool, str]:
     """Run one step from the repository root; (passed, combined output)."""
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
+        argv,
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
     )
     return done.returncode == 0, done.stdout
 
@@ -46,9 +51,9 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     failed = 0
-    for name, step, extra in STEPS:
+    for name, step in STEPS:
         start = time.perf_counter()
-        passed, output = run_step(step, extra)
+        passed, output = run_step(step)
         print(f"{'PASS' if passed else 'FAIL'}  {name}  ({time.perf_counter() - start:.0f} s)")
         if not passed:
             failed += 1
