@@ -4,7 +4,9 @@ and the one-shot verification suite.
 ``classify`` reads "cograph" and the closed-form size off the word's class
 key walk (``moddecomp.cograph_class_size``): a prime node in the word's
 substitution tree means no cograph.  No command decomposes a graph except
-``verify``.
+``verify``.  ``enumerate`` prints its table through ``ClassTable.write``,
+which holds the text, JSON and CSV layouts; this module reads no private
+attribute of the table.
 
 Exit codes: 0 success, 1 verification failure or a stdout that could not
 take the output: a closed pipe prints nothing on stderr, any other write
@@ -135,8 +137,8 @@ def _obtain_table(args: argparse.Namespace, command: str, work: str) -> ClassTab
 def _write_json(obj: object, fh: TextIO) -> None:
     """``json.dumps(obj, indent=2)`` plus a newline, written in batches of
     encoder chunks: never one string, nor one slow write per chunk.  It
-    serves ``poset --json`` and ``verify --json``; ``enumerate --format
-    json`` writes the class table's own pieces (``ClassTable.to_json``)."""
+    serves ``poset --json`` and ``verify --json``; ``enumerate`` writes
+    through ``ClassTable.write``."""
     chunks = json.JSONEncoder(indent=2).iterencode(obj)
     while batch := "".join(itertools.islice(chunks, 4096)):
         fh.write(batch)
@@ -153,27 +155,8 @@ def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _write_table(table: ClassTable, fh: TextIO) -> None:
-    """The text table, written line by line after a pass for the widths of
-    the first four columns, which ``ClassTable._heads`` gives without the
-    members."""
-    widths = [0] * 4
-    for head in table._heads():
-        widths = list(map(max, widths, map(len, head)))
-    line = "  ".join(f"{{:<{w}}}" for w in widths) + "  {}\n"
-    fh.writelines(itertools.starmap(line.format, table._rows()))
-    fh.write(f"total classes: {table.count}\n")
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    table = _obtain_table(args, "enumerate", "scans")
-    if args.format == "json":
-        sys.stdout.writelines(table._json_pieces())
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        table._write_csv(sys.stdout)
-    else:
-        _write_table(table, sys.stdout)
+    _obtain_table(args, "enumerate", "scans").write(sys.stdout, args.format)
     return 0
 
 

@@ -25,7 +25,8 @@ from operator import add
 from typing import NamedTuple, Optional
 
 from .graphs import Graph, bits, is_closed
-from .perms import Pair, Permutation, _check_size, inversion_set, pair_masks, word_from_masks
+from .perms import Pair, Permutation, inversion_set, pair_masks, word_from_masks
+from .perms import _check_same_n, _check_size
 # Not called here; perfbench/spans.py wraps this name on this module.
 from .perms import perm_from_inversion_set  # noqa: F401
 
@@ -392,8 +393,7 @@ def spanning_embeds(dsmall: Digraph, dbig: Digraph) -> Optional[dict[int, int]]:
     Returns the mapping (1-based) or None; ``mask_embedding`` does the
     search.
     """
-    if dsmall.n != dbig.n:
-        raise ValueError("spanning embeddings need equal vertex counts")
+    _check_same_n(dsmall.n, dbig.n)
     mapping = mask_embedding(
         MaskDigraph.from_masks(*dsmall.masks()), MaskDigraph.from_masks(*dbig.masks())
     )
@@ -481,8 +481,7 @@ def induced_permutation(f: Digraph, f1: Digraph) -> Permutation:
     permutation; that set is one because ``f`` and ``f1`` stay transitive
     under the labeling and split every pair between them.
     """
-    if f.n != f1.n:
-        raise ValueError("orientations live on different vertex counts")
+    _check_same_n(f.n, f1.n)
     n = f.n
     out, inn = f.masks()
     out1, inn1 = f1.masks()

@@ -36,6 +36,7 @@ from .graphs import bits
 from .perms import (
     OrientationClass,
     Permutation,
+    _check_same_n,
     format_word,
     inverse,
     inverse_word,
@@ -63,8 +64,7 @@ def equivalent_bruteforce(
     order-preserving: the identity, the first candidate, is its witness.
     Practical for n <= 7.
     """
-    if sigma.n != pi.n:
-        raise ValueError("size mismatch")
+    _check_same_n(sigma.n, pi.n)
     n = sigma.n
     source = [(i - 1, j - 1) for i, j in inversion_set(sigma).sorted_pairs()]
     target = {(i - 1, j - 1) for i, j in inversion_set(pi).pairs}
@@ -94,8 +94,7 @@ def equivalent_bruteforce(
 
 def equivalent_fast(sigma: Permutation, pi: Permutation) -> bool:
     """Digraph route: related permutation digraphs."""
-    if sigma.n != pi.n:
-        raise ValueError("size mismatch")
+    _check_same_n(sigma.n, pi.n)
     return class_key(sigma) == class_key(pi)
 
 
@@ -526,19 +525,40 @@ class ClassTable:
 
     def _rows(self) -> Iterator[tuple[str, ...]]:
         """The header, then one row per class: the columns of the CSV and of
-        the CLI's text table, made one at a time."""
+        the text table, made one at a time."""
         heads = self._heads()
         yield (*next(heads), "members")
         for head, c in zip(heads, self.classes):
             yield (*head, " ".join(map(format_word, c.words)))
 
-    def _write_csv(self, fh: TextIO) -> None:
-        """Write the CSV to ``fh`` row by row."""
-        csv.writer(fh, lineterminator="\n").writerows(self._rows())
+    def write(self, fh: TextIO, form: str) -> None:
+        """Write the table to ``fh`` in ``form``, as ``geoposet enumerate
+        --format form`` prints it, piece by piece, never as one string.
+
+        ``"json"`` is ``to_json()`` plus a newline.  ``"csv"`` is
+        ``to_csv()``: a header, then one row per class, members joined by
+        spaces.  ``"table"`` has the same columns, each but the last padded
+        to its widest cell, which a first pass over ``_heads`` finds without
+        the members, then a ``total classes:`` line.  Any other ``form``
+        raises ValueError.
+        """
+        if form == "json":
+            fh.writelines(itertools.chain(self._json_pieces(), ["\n"]))
+        elif form == "csv":
+            csv.writer(fh, lineterminator="\n").writerows(self._rows())
+        elif form == "table":
+            widths = [0] * 4
+            for head in self._heads():
+                widths = list(map(max, widths, map(len, head)))
+            line = "  ".join(f"{{:<{w}}}" for w in widths) + "  {}\n"
+            fh.writelines(itertools.starmap(line.format, self._rows()))
+            fh.write(f"total classes: {self.count}\n")
+        else:
+            raise ValueError(f"form must be 'table', 'json' or 'csv'; got {form!r}")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        self._write_csv(buf)
+        self.write(buf, "csv")
         return buf.getvalue()
 
 
@@ -653,8 +673,7 @@ def compare_with_reference(table: ClassTable, reference: dict) -> ReferenceCompa
     exactly one word, where that word is the annotated duplicate, counts as
     explained rather than a failure.
     """
-    if table.n != reference["n"]:
-        raise ValueError("reference table is for a different n")
+    _check_same_n(table.n, reference["n"])
     ours = {frozenset(map(format_word, c.words)): c for c in table.classes}
     dup = reference.get("known_issues", {}).get("duplicated_member", "")
     dup_home = ""

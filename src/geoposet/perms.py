@@ -146,8 +146,7 @@ def reverse(p: Permutation) -> Permutation:
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Function composition (p * q)(k) = p(q(k))."""
-    if p.n != q.n:
-        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
+    _check_same_n(p.n, q.n)
     return Permutation(tuple(p.word[v - 1] for v in q.word))
 
 
@@ -161,6 +160,13 @@ def _check_size(n: int) -> None:
     """Refuse an n that is not an int of at least 1: bools and floats too."""
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive int; got n={n!r}")
+
+
+def _check_same_n(a: int, b: int) -> None:
+    """Refuse the two operands of a function when their n differ: the one
+    size-mismatch rule of every two-operand function."""
+    if a != b:
+        raise ValueError(f"size mismatch: {a} vs {b}")
 
 
 def _check_pairs(n: int, pairs: Iterable[Pair], name: str) -> None:
@@ -332,8 +338,7 @@ def act(rho: Permutation, ps: PairSet) -> tuple[PairSet, OrientationClass]:
     classification is VACUOUS for an empty set, MIXED when both behaviours
     occur, and ALL_PRESERVING / ALL_REVERSING otherwise.
     """
-    if rho.n != ps.n:
-        raise ValueError(f"size mismatch: {rho.n} vs {ps.n}")
+    _check_same_n(rho.n, ps.n)
     word = rho.word
     preserved = reversed_ = False
     image = set()

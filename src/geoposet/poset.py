@@ -60,7 +60,7 @@ from typing import Iterator, Literal, Optional, Sequence
 from .digraphs import MaskDigraph, mask_embedding
 from .geoequiv import ClassTable, GeoClass, enumerate_classes
 from .graphs import bits
-from .perms import Permutation, format_word, inverse, inverse_word, word_masks
+from .perms import Permutation, _check_same_n, format_word, inverse, inverse_word, word_masks
 # Not called here; perfbench/spans.py wraps these names on this module.
 from .digraphs import from_perm, spanning_embeds  # noqa: F401
 from .perms import inversion_set  # noqa: F401
@@ -95,8 +95,7 @@ def precedes(c_sigma: GeoClass, c_pi: GeoClass) -> bool:
     incomparable, since a proper sub-digraph has strictly fewer arcs.
     Classes of different n raise ValueError.
     """
-    if len(c_sigma.word) != len(c_pi.word):
-        raise ValueError("precedence compares classes of the same n")
+    _check_same_n(len(c_sigma.word), len(c_pi.word))
     if c_sigma.key == c_pi.key:
         return True
     if c_sigma.inversions >= c_pi.inversions:
@@ -170,7 +169,9 @@ class Poset:
 def build_poset(source: "int | ClassTable") -> Poset:
     """Assemble the order over all classes of S_n.
 
-    Accepts either n or a prebuilt class table.
+    Accepts either n or a prebuilt class table: all of S_n, or the classes
+    of any set of its levels, whose order is the full order restricted to
+    them (covers included, when the levels are those up to some L).
 
     Sets.  The dense relations are bitmasks, one int per class: the floor
     rows, the floor's columns, the rows and each row's unknowns.  The
@@ -314,7 +315,10 @@ def _weak_covers(table: ClassTable) -> tuple[list[list[int]], list[list[int]]]:
     reach no class that rc(w) does not.  That skips 288 of 720, 2 160 of
     5 040 and 17 280 of 40 320 members at n = 6, 7 and 8.  On a table that
     is not closed under rc the lists only lose pairs: the floor gets
-    smaller, and ``build_poset`` stays exact by searching more pairs.  A
+    smaller, and ``build_poset`` stays exact by searching more pairs.
+
+    A table may hold any set of classes, such as those of the levels up to
+    L: a cover whose word lies in no class of the table is skipped.  A
     cover swaps two adjacent values a < b, and a word's values are
     distinct, so its word is w with the values a and b exchanged: one
     ``bytes.translate`` by ``swap[a][b]``.
@@ -334,8 +338,8 @@ def _weak_covers(table: ClassTable) -> tuple[list[list[int]], list[list[int]]]:
                 continue
             for k in steps:  # the words of ``_left_steps(w)``
                 a, b = w[k], w[k + 1]
-                if a < b:
-                    reached.add(index[w.translate(swap[a][b])])
+                if a < b and (j := index.get(w.translate(swap[a][b]))) is not None:
+                    reached.add(j)
         above = sorted(reached)
         for j in above:
             below[j].append(i)
@@ -466,12 +470,14 @@ def _left_cover_steps(
     table: ClassTable,
 ) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
     """Every left weak-order cover w of every member word m of the table, as
-    (class index of m, class index of w, m, w)."""
+    (class index of m, class index of w, m, w); a cover outside the table
+    is skipped."""
     index = table.index
     for i, c in enumerate(table.classes):
         for m in map(tuple, c.words):
             for w in _left_steps(m):
-                yield i, index[bytes(w)], m, w
+                if (j := index.get(bytes(w))) is not None:
+                    yield i, j, m, w
 
 
 def _inversions_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -482,8 +488,7 @@ def _inversions_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 def bruhat_below(sigma: Permutation, pi: Permutation) -> bool:
     """Containment in either weak order: E(sigma) within E(pi), or the same
     for the inverses."""
-    if sigma.n != pi.n:
-        raise ValueError("size mismatch")
+    _check_same_n(sigma.n, pi.n)
     return _inversions_within(sigma.word, pi.word) or _inversions_within(
         inverse_word(sigma.word), inverse_word(pi.word)
     )
@@ -510,9 +515,8 @@ def bruhat_extension_check(
     """
     if n > 6:
         raise ValueError("the exhaustive Bruhat comparison is bounded to n <= 6")
-    if poset is not None and poset.n != n:
-        raise ValueError(f"the poset is the order of S_{poset.n}, not of S_{n}")
     poset = poset if poset is not None else build_poset(n)
+    _check_same_n(n, poset.n)
     failures = tuple(
         (str(Permutation(m)), str(Permutation(w)))
         for i, j, m, w in _left_cover_steps(poset.table)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import itertools
 import json
 import multiprocessing
@@ -10,6 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import GOLDEN
 
 from geoposet import geoequiv
 from geoposet.digraphs import canonical_key, from_perm, is_isomorphic, reverse
@@ -693,6 +695,27 @@ def test_table_csv_shape():
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "label,inversions,size,representative,members"
     assert len(lines) == 1 + 4
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_write_is_the_enumerate_output(n):
+    """Each form ``ClassTable.write`` writes has the sha256 that
+    tests/test_golden.py pins for ``enumerate n --format form``, and
+    ``to_csv`` is the csv form."""
+    table = enumerate_classes(n)
+    written = {}
+    for form in ("table", "json", "csv"):
+        buf = io.StringIO()
+        table.write(buf, form)
+        written[form] = buf.getvalue()
+        digest = hashlib.sha256(written[form].encode()).hexdigest()
+        assert digest == GOLDEN[f"enumerate {n} --format {form}"], form
+    assert table.to_csv() == written["csv"]
+
+
+def test_write_refuses_an_unknown_form():
+    with pytest.raises(ValueError, match="form must be"):
+        enumerate_classes(2).write(io.StringIO(), "tsv")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The argument checks of the public functions: each refusal, and the cheap
-False answers that skip the real work, on the smallest input that reaches it."""
+False answers that skip the real work, on the smallest input that reaches it.
+Every two-operand function refuses operands of different n with the one
+message ``size mismatch: a vs b``."""
 
 import copy
+import re
 
 import pytest
 
@@ -11,6 +14,9 @@ from geoposet import (
     PairSet,
     Realization,
     act,
+    bruhat_below,
+    bruhat_extension_check,
+    build_poset,
     build_realization,
     canonical_key,
     compare_with_reference,
@@ -28,6 +34,7 @@ from geoposet import (
     load_s5_reference,
     parse,
     path_graph,
+    precedes,
     spanning_embeds,
 )
 from geoposet.geometry import relabeled
@@ -56,18 +63,39 @@ CASES = {
         lambda: is_isomorphic(Digraph(2, frozenset({(1, 2)})), no_arcs(2)),
         False,
     ),
-    "spanning_embeds other n": (lambda: spanning_embeds(no_arcs(2), no_arcs(3)), ValueError),
+    "spanning_embeds other n": (
+        lambda: spanning_embeds(no_arcs(2), no_arcs(3)),
+        "size mismatch: 2 vs 3",
+    ),
     "induced_permutation other n": (
         lambda: induced_permutation(no_arcs(2), no_arcs(3)),
-        ValueError,
+        "size mismatch: 2 vs 3",
     ),
     "equivalent_bruteforce other n": (
         lambda: equivalent_bruteforce(parse("21"), parse("321")),
-        ValueError,
+        "size mismatch: 2 vs 3",
     ),
-    "equivalent_fast other n": (lambda: equivalent_fast(parse("21"), parse("321")), ValueError),
-    "compose other n": (lambda: compose(parse("21"), parse("321")), ValueError),
-    "act other n": (lambda: act(parse("21"), inversion_set(parse("321"))), ValueError),
+    "equivalent_fast other n": (
+        lambda: equivalent_fast(parse("21"), parse("321")),
+        "size mismatch: 2 vs 3",
+    ),
+    "compose other n": (lambda: compose(parse("21"), parse("321")), "size mismatch: 2 vs 3"),
+    "act other n": (
+        lambda: act(parse("21"), inversion_set(parse("321"))),
+        "size mismatch: 2 vs 3",
+    ),
+    "precedes other n": (
+        lambda: precedes(enumerate_classes(2).classes[0], enumerate_classes(3).classes[0]),
+        "size mismatch: 2 vs 3",
+    ),
+    "bruhat_below other n": (
+        lambda: bruhat_below(parse("21"), parse("321")),
+        "size mismatch: 2 vs 3",
+    ),
+    "bruhat_extension_check poset of other n": (
+        lambda: bruhat_extension_check(2, build_poset(3)),
+        "size mismatch: 2 vs 3",
+    ),
     "enumerate_transitive_orientations n = 11": (
         lambda: enumerate_transitive_orientations(empty_graph(11)),
         ValueError,
@@ -82,7 +110,7 @@ CASES = {
     ),
     "compare_with_reference other n": (
         lambda: compare_with_reference(enumerate_classes(4), load_s5_reference()),
-        ValueError,
+        "size mismatch: 4 vs 5",
     ),
     "compare_with_reference doctored class": (doctored_s5_report, True),
     "(1, 2) in PairSet": (lambda: (1, 2) in PairSet(2, frozenset({(1, 2)})), True),
@@ -91,8 +119,11 @@ CASES = {
 
 @pytest.mark.parametrize("call, expected", CASES.values(), ids=list(CASES))
 def test_input_checks(call, expected):
-    if expected is ValueError:
-        with pytest.raises(ValueError):
+    """A ValueError is expected for ``ValueError`` and, with exactly that
+    message, for a string; any other value is the answer."""
+    if expected is ValueError or isinstance(expected, str):
+        message = None if expected is ValueError else f"^{re.escape(expected)}$"
+        with pytest.raises(ValueError, match=message):
             call()
     else:
         assert call() is expected
