@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Pair, PairSet, Permutation, _check_pairs, inversion_set, pair_masks
+from .perms import Pair, PairSet, Permutation, _check_pairs, _check_size, inversion_set, pair_masks
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,7 @@ def empty_graph(n: int) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    _check_size(n)
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
     edges = {(k, k + 1) for k in range(1, n)} | {(1, n)}
@@ -105,4 +106,5 @@ def cycle_graph(n: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
+    _check_size(n)
     return Graph(n, frozenset((k, k + 1) for k in range(1, n)))

@@ -109,11 +109,12 @@ def _node_json(node: MDNode) -> dict:
 
 def is_module(g: Graph, vertices: frozenset[int] | set[int]) -> bool:
     """Outside vertices must see all of the set or none of it: the set is
-    its own module closure (``_module_closure``) in the whole graph."""
+    its own module closure (``_module_closure``) in the whole graph.
+    Refuses an empty set and any vertex that is not an int in 1..n."""
     m = set(vertices)
     if not m:
         raise ValueError("modules are nonempty")
-    if not m <= set(range(1, g.n + 1)):
+    if any(type(v) is not int or not 1 <= v <= g.n for v in m):
         raise ValueError("module contains out-of-range vertices")
     mask = sum(1 << (v - 1) for v in m)
     return _module_closure(mask, (1 << g.n) - 1, g.adjacency_masks()) == mask

@@ -89,6 +89,7 @@ def format_word(word: tuple[int, ...]) -> str:
 
 
 def identity(n: int) -> Permutation:
+    _check_size(n)
     return Permutation(tuple(range(1, n + 1)))
 
 
@@ -152,6 +153,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic word order."""
+    _check_size(n)
     for word in itertools.permutations(range(1, n + 1)):
         yield Permutation(word)
 
@@ -193,6 +195,7 @@ class PairSet:
     @classmethod
     def universe(cls, n: int) -> "PairSet":
         """All pairs (i, j) with 1 <= i < j <= n."""
+        _check_size(n)
         return cls(n, frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1)))
 
     def complement(self) -> "PairSet":

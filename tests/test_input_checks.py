@@ -1,7 +1,9 @@
 """The argument checks of the public functions: each refusal, and the cheap
 False answers that skip the real work, on the smallest input that reaches it.
 Every two-operand function refuses operands of different n with the one
-message ``size mismatch: a vs b``."""
+message ``size mismatch: a vs b``, and every function of a size n refuses
+an n that is not a positive int (a bool or a float too) with the one
+message of ``perms._check_size``."""
 
 import copy
 import re
@@ -14,6 +16,7 @@ from geoposet import (
     PairSet,
     Realization,
     act,
+    all_permutations,
     bruhat_below,
     bruhat_extension_check,
     build_poset,
@@ -21,12 +24,14 @@ from geoposet import (
     canonical_key,
     compare_with_reference,
     compose,
+    complete_graph,
     cycle_graph,
     empty_graph,
     enumerate_classes,
     enumerate_transitive_orientations,
     equivalent_bruteforce,
     equivalent_fast,
+    identity,
     induced_permutation,
     inversion_set,
     is_isomorphic,
@@ -101,8 +106,30 @@ CASES = {
         ValueError,
     ),
     "Graph.from_edges self-loop": (lambda: Graph.from_edges(3, [(2, 2)]), ValueError),
-    "cycle_graph(2)": (lambda: cycle_graph(2), ValueError),
-    "is_module out-of-range vertex": (lambda: is_module(path_graph(3), {4}), ValueError),
+    "identity(0)": (lambda: identity(0), "n must be a positive int; got n=0"),
+    "identity(True)": (lambda: identity(True), "n must be a positive int; got n=True"),
+    "identity(2.5)": (lambda: identity(2.5), "n must be a positive int; got n=2.5"),
+    "all_permutations(2.5)": (
+        lambda: list(all_permutations(2.5)),
+        "n must be a positive int; got n=2.5",
+    ),
+    "PairSet.universe(2.5)": (lambda: PairSet.universe(2.5), "n must be a positive int; got n=2.5"),
+    "complete_graph(2.5)": (lambda: complete_graph(2.5), "n must be a positive int; got n=2.5"),
+    "path_graph(2.5)": (lambda: path_graph(2.5), "n must be a positive int; got n=2.5"),
+    "cycle_graph(3.0)": (lambda: cycle_graph(3.0), "n must be a positive int; got n=3.0"),
+    "cycle_graph(2)": (lambda: cycle_graph(2), "cycles need at least 3 vertices"),
+    "is_module out-of-range vertex": (
+        lambda: is_module(path_graph(3), {4}),
+        "module contains out-of-range vertices",
+    ),
+    "is_module bool vertex": (
+        lambda: is_module(path_graph(3), {True}),
+        "module contains out-of-range vertices",
+    ),
+    "is_module float vertex": (
+        lambda: is_module(path_graph(3), {1.0}),
+        "module contains out-of-range vertices",
+    ),
     "Realization without a spoke": (lambda: Realization((0, 0), (1, 0), ()), ValueError),
     "relabeled non-bijection": (
         lambda: relabeled(build_realization(parse("21")), {1: 1, 2: 1}),

@@ -68,3 +68,12 @@ def test_a_bad_revision_is_a_usage_error(capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_no_git_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert src_lines.main(["HEAD"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

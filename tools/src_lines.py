@@ -10,8 +10,9 @@ into or out of a docstring does not change the count.
     python tools/src_lines.py BASE HEAD       # two git revisions
 
 Prints the count of every ``src/geoposet/*.py`` file, the total and, with a
-revision, the difference.  A revision git cannot read is a usage error:
-one ``error:`` line on stderr and exit status 2.  Standard library only.
+revision, the difference.  A revision git cannot read, or no ``git`` to
+read it with, is a usage error: one ``error:`` line on stderr and exit
+status 2.  Standard library only.
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ def main(argv: list[str]) -> int:
     try:
         base = counts(argv[0])
         head = counts(argv[1] if len(argv) == 2 else None)
-    except subprocess.CalledProcessError as exc:
-        detail = "; ".join(exc.stderr.strip().splitlines())
+    except (OSError, subprocess.CalledProcessError) as exc:
+        text = exc.stderr if isinstance(exc, subprocess.CalledProcessError) else str(exc)
+        detail = "; ".join(text.strip().splitlines())
         print(f"error: git cannot read {PACKAGE} at {' or '.join(argv)}: {detail}", file=sys.stderr)
         return 2
     labels = (argv[0][:10], argv[1][:10] if len(argv) == 2 else "worktree")
